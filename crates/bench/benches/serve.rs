@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fractalcloud_core::{Pipeline, PipelineConfig};
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
-use fractalcloud_serve::{Engine, ServeConfig};
+use fractalcloud_serve::{Engine, ServeConfig, Ticket};
+use std::sync::Arc;
 
 fn bench_serve_roundtrip(c: &mut Criterion) {
     let n = 4096;
@@ -19,16 +20,16 @@ fn bench_serve_roundtrip(c: &mut Criterion) {
     // Cache disabled: every round-trip pays queueing + partition + BPPO.
     let cold = Engine::start(ServeConfig::default().cache_capacity(0));
     group.bench_function("engine-process-cold", |b| {
-        b.iter(|| cold.process(cloud.clone(), cfg).unwrap())
+        b.iter(|| cold.process_shared(Arc::new(cloud.clone()), cfg).unwrap())
     });
     cold.shutdown();
 
     // Cache enabled: identical frame bytes reuse the partition.
     let warm = Engine::start(ServeConfig::default());
-    warm.process(cloud.clone(), cfg).unwrap(); // prime the LRU
+    warm.process_shared(Arc::new(cloud.clone()), cfg).unwrap(); // prime the LRU
     group.bench_function("engine-process-cached", |b| {
         b.iter(|| {
-            let r = warm.process(cloud.clone(), cfg).unwrap();
+            let r = warm.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
             assert!(r.cache_hit);
             r
         })
@@ -42,37 +43,27 @@ fn bench_serve_batching(c: &mut Criterion) {
     let cfg = PipelineConfig::default();
 
     let mut group = c.benchmark_group("serve_batching_1k");
-    // A/B: cross-frame block batching (one parallel map over the union of
-    // the batch's fused sample+group block tasks) vs the legacy
-    // one-sequential-lane-per-frame schedule. Results are bit-identical;
-    // only scheduling differs. The budget is forced above 1 so the block
-    // schedule genuinely engages even on single-CPU hosts.
+    // Cross-frame block batching: one parallel map over the union of the
+    // batch's fused sample+group block tasks. The budget is forced above 1
+    // so the block schedule genuinely engages even on single-CPU hosts.
     let budget = fractalcloud_parallel::workers().max(2);
-    for (label, batch_blocks) in
-        [("submit-8-compatible-frames", true), ("submit-8-legacy-frame-lanes", false)]
-    {
-        let engine = Engine::start(
-            ServeConfig::default()
-                .cache_capacity(0)
-                .max_batch(8)
-                .thread_budget(budget)
-                .batch_blocks(batch_blocks),
-        );
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let tickets: Vec<_> =
-                    frames.iter().map(|f| engine.submit(f.clone(), cfg).unwrap()).collect();
-                tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>().len()
-            })
-        });
-        engine.shutdown();
-    }
+    let engine =
+        Engine::start(ServeConfig::default().cache_capacity(0).max_batch(8).thread_budget(budget));
+    group.bench_function("submit-8-compatible-frames", |b| {
+        b.iter(|| {
+            let tickets: Vec<_> = frames
+                .iter()
+                .map(|f| engine.submit_shared(Arc::new(f.clone()), cfg).unwrap())
+                .collect();
+            tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>().len()
+        })
+    });
+    engine.shutdown();
     group.finish();
 }
 
 fn bench_serve_inference(c: &mut Criterion) {
     use fractalcloud_serve::{Aggregation, InferRequest, ModelConfig};
-    use std::sync::Arc;
     let cloud = Arc::new(scene_cloud(&SceneConfig::default(), 1024, 42));
 
     let mut group = c.benchmark_group("serve_infer_1k");
@@ -89,11 +80,15 @@ fn bench_serve_inference(c: &mut Criterion) {
             aggregation: Some(agg),
             ..InferRequest::new(ModelConfig::table1().remove(0))
         };
-        let warm = engine.process_infer(Arc::clone(&cloud), request()).unwrap();
+        let warm =
+            engine.submit_infer(Arc::clone(&cloud), request()).and_then(Ticket::wait).unwrap();
         engine.recycle_infer(warm);
         group.bench_function(label, |b| {
             b.iter(|| {
-                let r = engine.process_infer(Arc::clone(&cloud), request()).unwrap();
+                let r = engine
+                    .submit_infer(Arc::clone(&cloud), request())
+                    .and_then(Ticket::wait)
+                    .unwrap();
                 assert!(r.cache_hit);
                 engine.recycle_infer(r);
             })

@@ -33,6 +33,8 @@ use fractalcloud_pointcloud::ops::{
     ball_query, farthest_point_sample, interpolate_features, k_nearest_neighbors, reference,
 };
 use fractalcloud_pointcloud::Point3;
+use fractalcloud_serve::Ticket;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// With the `bench` feature (default), heap traffic is counted by the
@@ -263,13 +265,9 @@ fn main() {
 
     // --- Serve throughput: in-process engine, fixed frame size ---
     // Distinct frames with the cache off, so the row measures the full
-    // admission → batch → partition → BPPO → response path per frame.
-    // Both rows share one methodology (up-front submission, so batches
-    // genuinely fuse to mean ≈ max_batch) and differ ONLY in the
-    // `batch_blocks` schedule, so their ratio isolates the tentpole.
-    let serve = measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7), false);
-    let serve_blocks =
-        measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7), true);
+    // admission → batch → partition → BPPO → response path per frame, with
+    // up-front submission so batches genuinely fuse to mean ≈ max_batch.
+    let serve = measure_serve_throughput(if quick { 24 } else { 192 }, 4096, reps.min(7));
 
     // --- Streaming time-to-first-byte: warm first paint vs full frame ---
     // The progressive-LOD claim in one number: with the ordering cached, a
@@ -311,14 +309,6 @@ fn main() {
         "{:<18} {:>20}",
         "serve_throughput",
         format!("{:.1} frames/s ({} pts)", serve.frames_per_s, serve.frame_points)
-    );
-    println!(
-        "{:<26} {:>20}",
-        "serve_throughput_batched_blocks",
-        format!(
-            "{:.1} frames/s ({} pts, mean batch {:.1})",
-            serve_blocks.frames_per_s, serve_blocks.frame_points, serve_blocks.mean_batch
-        )
     );
     println!(
         "{:<18} {:>20}",
@@ -392,7 +382,6 @@ fn main() {
         backend.name(),
         &comparisons,
         &serve,
-        &serve_blocks,
         &stream_ttfb,
         &allocs,
         &infer_eager,
@@ -437,12 +426,18 @@ fn measure_inference(
     // the cached executor/weights, and the slot/response/workspace pools.
     let mut counters = fractalcloud_pointcloud::ops::OpCounters::default();
     for _ in 0..3 {
-        let r = engine.process_infer(std::sync::Arc::clone(&cloud), request()).expect("warm infer");
+        let r = engine
+            .submit_infer(std::sync::Arc::clone(&cloud), request())
+            .and_then(Ticket::wait)
+            .expect("warm infer");
         counters = r.output.counters;
         engine.recycle_infer(r);
     }
     let ms = time_ms(reps, || {
-        let r = engine.process_infer(std::sync::Arc::clone(&cloud), request()).expect("infer");
+        let r = engine
+            .submit_infer(std::sync::Arc::clone(&cloud), request())
+            .and_then(Ticket::wait)
+            .expect("infer");
         engine.recycle_infer(r);
     });
     // Requests are pre-built so the window counts the serve path alone,
@@ -451,7 +446,10 @@ fn measure_inference(
     let mut requests: Vec<InferRequest> = (0..alloc_frames).map(|_| request()).collect();
     let before = allocation_count();
     for req in requests.drain(..) {
-        let r = engine.process_infer(std::sync::Arc::clone(&cloud), req).expect("infer");
+        let r = engine
+            .submit_infer(std::sync::Arc::clone(&cloud), req)
+            .and_then(Ticket::wait)
+            .expect("infer");
         engine.recycle_infer(r);
     }
     let allocs_per_frame = (allocation_count() - before) / alloc_frames;
@@ -515,25 +513,18 @@ struct ServeThroughput {
 /// engine's `max_batch`), `reps` times, reporting the best sustained
 /// frames/s.
 ///
-/// With `batch_blocks` the fused batches execute as ONE budgeted
-/// `parallel_map` over the union of their sample+group `(frame, block)`
-/// tasks — the tentpole schedule — otherwise as the legacy sequential lane
-/// per frame. The block-*parallel* win scales with cores; on a single-CPU
-/// host (thread budget 1) the engine falls back to the frame-at-a-time
-/// order, so the two rows then measure the same schedule and should agree
-/// within noise. Results are bit-identical in every case.
-fn measure_serve_throughput(
-    frames: usize,
-    frame_points: usize,
-    reps: usize,
-    batch_blocks: bool,
-) -> ServeThroughput {
+/// With a thread budget above one the fused batches execute as ONE
+/// budgeted `parallel_map` over the union of their sample+group
+/// `(frame, block)` tasks; on a single-CPU host (thread budget 1) the
+/// engine runs the frame-at-a-time order. Results are bit-identical either
+/// way.
+fn measure_serve_throughput(frames: usize, frame_points: usize, reps: usize) -> ServeThroughput {
     use fractalcloud_serve::{Engine, ServeConfig};
     let clouds: Vec<_> = (0..frames)
         .map(|s| scene_cloud(&SceneConfig::default(), frame_points, s as u64 + 1000))
         .collect();
     let engine = std::sync::Arc::new(Engine::start(
-        ServeConfig::default().cache_capacity(0).queue_capacity(frames).batch_blocks(batch_blocks),
+        ServeConfig::default().cache_capacity(0).queue_capacity(frames),
     ));
     let config = fractalcloud_core::PipelineConfig::default();
     let mut best = f64::INFINITY;
@@ -541,7 +532,11 @@ fn measure_serve_throughput(
         let t0 = Instant::now();
         let tickets: Vec<_> = clouds
             .iter()
-            .map(|c| engine.submit(c.clone(), config).expect("queue sized for all frames"))
+            .map(|c| {
+                engine
+                    .submit_shared(Arc::new(c.clone()), config)
+                    .expect("queue sized for all frames")
+            })
             .collect();
         for t in tickets {
             t.wait().expect("serve frame");
@@ -674,11 +669,11 @@ fn measure_stage_breakdown(frame_points: usize, requests: usize) -> Vec<StageBre
     // Phase 1: cold frames — cache off, so every request rebuilds the
     // partition and runs both BPPO halves.
     let engine = Engine::start(ServeConfig::default().workers(1).cache_capacity(0));
-    engine.process(cloud.clone(), config).expect("warm frame");
+    engine.process_shared(Arc::new(cloud.clone()), config).expect("warm frame");
     let _ = obs::drain();
     let t0 = Instant::now();
     for _ in 0..requests {
-        engine.process(cloud.clone(), config).expect("frame");
+        engine.process_shared(Arc::new(cloud.clone()), config).expect("frame");
     }
     let e2e = t0.elapsed().as_secs_f64() * 1e6;
     rows.push(aggregate("frame", &obs::drain(), e2e));
@@ -696,14 +691,18 @@ fn measure_stage_breakdown(frame_points: usize, requests: usize) -> Vec<StageBre
         };
         for _ in 0..2 {
             let r = engine
-                .process_infer(std::sync::Arc::clone(&shared), request())
+                .submit_infer(std::sync::Arc::clone(&shared), request())
+                .and_then(Ticket::wait)
                 .expect("warm infer");
             engine.recycle_infer(r);
         }
         let _ = obs::drain();
         let t0 = Instant::now();
         for _ in 0..requests {
-            let r = engine.process_infer(std::sync::Arc::clone(&shared), request()).expect("infer");
+            let r = engine
+                .submit_infer(std::sync::Arc::clone(&shared), request())
+                .and_then(Ticket::wait)
+                .expect("infer");
             engine.recycle_infer(r);
         }
         let e2e = t0.elapsed().as_secs_f64() * 1e6;
@@ -723,7 +722,6 @@ fn render_json(
     backend: &str,
     comparisons: &[Comparison],
     serve: &ServeThroughput,
-    serve_blocks: &ServeThroughput,
     stream_ttfb: &StreamTtfb,
     allocs: &AllocsPerFrame,
     infer_eager: &InferenceRow,
@@ -768,11 +766,6 @@ fn render_json(
     out.push_str(&format!(
         "    {{ \"name\": \"serve_throughput\", \"backend\": \"{}\", \"frames\": {}, \"frame_points\": {}, \"frames_per_s\": {:.1}, \"mean_batch\": {:.2}, \"status\": \"ok\" }},\n",
         backend, serve.frames, serve.frame_points, serve.frames_per_s, serve.mean_batch
-    ));
-    out.push_str(&format!(
-        "    {{ \"name\": \"serve_throughput_batched_blocks\", \"backend\": \"{}\", \"frames\": {}, \"frame_points\": {}, \"frames_per_s\": {:.1}, \"mean_batch\": {:.2}, \"status\": \"ok\" }},\n",
-        backend, serve_blocks.frames, serve_blocks.frame_points, serve_blocks.frames_per_s,
-        serve_blocks.mean_batch
     ));
     out.push_str(&format!(
         "    {{ \"name\": \"serve_stream_ttfb\", \"backend\": \"{}\", \"frame_points\": {}, \"first_paint\": {}, \"ttfb_ms\": {:.4}, \"full_ms\": {:.4}, \"speedup\": {:.3}, \"status\": \"ok\" }},\n",

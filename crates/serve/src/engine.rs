@@ -15,16 +15,16 @@
 //!    `max_batch - 1` further *compatible* jobs (equal
 //!    [`PipelineConfig`]) from every class, highest first, preserving each
 //!    class's arrival order among what remains.
-//! 4. **Execution** — with cross-frame block batching
-//!    (`ServeConfig::batch_blocks`, the default) a fused batch flattens
-//!    the union of all frames' blocks into one work list and runs a single
+//! 4. **Execution** — with a thread budget above one, cross-frame block
+//!    batching runs a fused full-quality frame batch as the union of all
+//!    frames' blocks in one work list: a single
 //!    [`fractalcloud_parallel::parallel_map_budget`] of `(frame, block)`
 //!    tasks — each task fusing its block's sampling and grouping — so the
 //!    thread budget saturates even when the batch holds few frames with
 //!    many blocks each; a lone frame keeps the whole budget for its own
-//!    build + blocks. The legacy schedule (one sequential lane per frame)
-//!    serves single-worker budgets, where frame-at-a-time order wins on
-//!    locality, and remains available everywhere for A/B measurement.
+//!    build + blocks. Single-worker budgets (and every other batch) run
+//!    one sequential lane per job, where frame-at-a-time order wins on
+//!    locality.
 //!    Lane/task allowances are inherited by every nested fan-out
 //!    ([`fractalcloud_parallel::effective_budget`]), so the batch's total
 //!    worker count stays within the configured budget. Every schedule is
@@ -82,6 +82,7 @@ use fractalcloud_pnn::{Aggregation, InferOutput, InferenceConfig, ModelConfig, N
 use fractalcloud_pointcloud::ops::OpCounters;
 use fractalcloud_pointcloud::{Error, PointCloud};
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -119,12 +120,13 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // preference) would derive `High < Bulk`, inverting every natural
 // urgency comparison a caller might write. Compare via [`Priority::index`]
 // (smaller = more urgent) instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive traffic; dequeued first and never displaced by
     /// arrivals of equal or lower class.
     High,
     /// The default class (and what pre-priority clients get).
+    #[default]
     Normal,
     /// Throughput traffic; first to shed at the queue bound.
     Bulk,
@@ -291,16 +293,60 @@ pub struct InferResponse {
     pub batch_size: usize,
 }
 
-/// What a resolved slot carries: one variant per request kind. Private —
-/// the public [`Ticket`]/[`InferTicket`] handles unwrap the variant their
-/// submission created (the kinds never cross because a ticket type is only
-/// ever minted by the matching `submit_*`).
-#[derive(Debug)]
-enum EngineResponse {
-    Frame(FrameResponse),
-    Infer(InferResponse),
-    Chunk(StreamChunkResponse),
+/// The private conversion behind [`Ticket<R>`]: a resolved slot carries an
+/// [`EngineResponse`] and each response kind picks out its own variant.
+/// Sealed — nameable only inside this crate, so the response kinds are
+/// exactly the three implemented here.
+pub(crate) mod sealed {
+    use super::{FrameResponse, InferResponse, StreamChunkResponse};
+
+    /// What a resolved slot carries: one variant per request kind.
+    #[derive(Debug)]
+    pub enum EngineResponse {
+        /// A PROCESS_FRAME answer.
+        Frame(FrameResponse),
+        /// An INFER answer.
+        Infer(InferResponse),
+        /// One streaming chunk.
+        Chunk(StreamChunkResponse),
+    }
+
+    /// A response kind a [`Ticket`](super::Ticket) can carry.
+    pub trait TicketResponse: Sized {
+        /// This kind's variant, or `None` for any other.
+        fn from_engine(response: EngineResponse) -> Option<Self>;
+    }
+
+    impl TicketResponse for FrameResponse {
+        fn from_engine(response: EngineResponse) -> Option<Self> {
+            match response {
+                EngineResponse::Frame(r) => Some(r),
+                _ => None,
+            }
+        }
+    }
+
+    impl TicketResponse for InferResponse {
+        fn from_engine(response: EngineResponse) -> Option<Self> {
+            match response {
+                EngineResponse::Infer(r) => Some(r),
+                _ => None,
+            }
+        }
+    }
+
+    impl TicketResponse for StreamChunkResponse {
+        fn from_engine(response: EngineResponse) -> Option<Self> {
+            match response {
+                EngineResponse::Chunk(r) => Some(r),
+                _ => None,
+            }
+        }
+    }
 }
+
+use sealed::EngineResponse;
+pub(crate) use sealed::TicketResponse;
 
 /// One coarse-to-fine refinement slice of a streamed frame: samples
 /// `slice.lo..slice.hi` of the frame's quality ordering, with their
@@ -373,38 +419,54 @@ impl SlotStash {
     }
 }
 
-/// Handle to one in-flight request; redeem with [`Ticket::wait`].
+/// Handle to one in-flight request; redeem with [`Ticket::wait`]. `R` is
+/// the response kind its submission produces: [`FrameResponse`],
+/// [`InferResponse`] or [`StreamChunkResponse`].
 #[derive(Debug)]
-pub struct Ticket {
+pub struct Ticket<R> {
     /// `Some` until the drop handler releases the slot to the stash.
     slot: Option<Arc<Slot>>,
     stash: Arc<SlotStash>,
     /// Flight-recorder request id minted at admission.
     req: u64,
+    /// `fn() -> R` keeps the ticket `Send` and `Sync` whatever `R` is.
+    kind: PhantomData<fn() -> R>,
 }
 
-impl Ticket {
+impl<R> Ticket<R> {
     /// The flight-recorder request id this admission minted — the key that
     /// reassembles the request's spans ([`fractalcloud_obs::spans_for`])
     /// and labels its wire-side spans.
     pub fn request_id(&self) -> u64 {
         self.req
     }
+}
 
-    /// Blocks until the slot resolves, whatever the response kind.
-    fn wait_any(&self) -> Result<EngineResponse, ServeError> {
+impl<R: TicketResponse> Ticket<R> {
+    /// Blocks until the response (or terminal error) is ready. Never hangs:
+    /// every admitted job carries a drop-guard that resolves the slot (with
+    /// [`ServeError::Internal`]) even when its executor panics or its
+    /// worker dies.
+    pub fn wait(self) -> Result<R, ServeError> {
         let slot = self.slot.as_ref().expect("slot present until drop");
         let mut guard = lock_unpoisoned(&slot.result);
         while guard.is_none() {
             guard = slot.ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
-        guard.take().expect("checked above")
+        Self::unwrap(guard.take().expect("checked above"))
     }
 
-    /// As [`Ticket::wait_any`], bounded by a timeout (`None` = pending).
-    fn wait_any_timeout(&self, timeout: Duration) -> Option<Result<EngineResponse, ServeError>> {
+    /// [`Ticket::wait`] bounded by a timeout: `None` when the response was
+    /// still pending after `timeout` (the ticket is consumed; the request
+    /// keeps running and resolves into the abandoned slot). A timeout too
+    /// large to represent as a deadline waits unbounded. The engine's
+    /// failure model makes `None` an anomaly worth asserting on — chaos
+    /// tests use exactly that.
+    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<R, ServeError>> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let slot = self.slot.as_ref().expect("slot present until drop");
-        let deadline = Instant::now().checked_add(timeout)?;
         let mut guard = lock_unpoisoned(&slot.result);
         while guard.is_none() {
             let now = Instant::now();
@@ -417,112 +479,22 @@ impl Ticket {
                 .unwrap_or_else(PoisonError::into_inner);
             guard = g;
         }
-        Some(guard.take().expect("checked above"))
+        Some(Self::unwrap(guard.take().expect("checked above")))
     }
 
-    /// Blocks until the response (or terminal error) is ready. Never hangs:
-    /// every admitted job carries a drop-guard that resolves the slot (with
-    /// [`ServeError::Internal`]) even when its executor panics or its
-    /// worker dies.
-    pub fn wait(self) -> Result<FrameResponse, ServeError> {
-        match self.wait_any() {
-            Ok(EngineResponse::Frame(r)) => Ok(r),
-            // Unreachable by construction: a `Ticket` is only minted by the
-            // frame-submitting paths. Kept total so a logic error surfaces
-            // as an error, never a panic in a waiter.
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait`] bounded by a timeout: `None` when the response was
-    /// still pending after `timeout` (the ticket is consumed; the request
-    /// keeps running and resolves into the abandoned slot). The engine's
-    /// failure model makes `None` an anomaly worth asserting on — chaos
-    /// tests use exactly that.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<FrameResponse, ServeError>> {
-        match self.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Frame(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
-        }
+    /// Picks this ticket's response kind out of a resolved slot. A
+    /// mismatched kind is unreachable by construction — each `submit_*`
+    /// mints the ticket kind its work produces — but stays total so a logic
+    /// error surfaces as an error, never a panic in a waiter.
+    fn unwrap(outcome: Result<EngineResponse, ServeError>) -> Result<R, ServeError> {
+        outcome.and_then(|r| R::from_engine(r).ok_or(ServeError::Internal))
     }
 }
 
-impl Drop for Ticket {
+impl<R> Drop for Ticket<R> {
     fn drop(&mut self) {
         if let Some(slot) = self.slot.take() {
             self.stash.release(slot);
-        }
-    }
-}
-
-/// Handle to one in-flight inference request; redeem with
-/// [`InferTicket::wait`]. Same completion contract as [`Ticket`].
-#[derive(Debug)]
-pub struct InferTicket {
-    inner: Ticket,
-}
-
-impl InferTicket {
-    /// The flight-recorder request id, as [`Ticket::request_id`].
-    pub fn request_id(&self) -> u64 {
-        self.inner.request_id()
-    }
-
-    /// Blocks until the inference response (or terminal error) is ready.
-    pub fn wait(self) -> Result<InferResponse, ServeError> {
-        match self.inner.wait_any() {
-            Ok(EngineResponse::Infer(r)) => Ok(r),
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait_timeout`], for inference requests.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<InferResponse, ServeError>> {
-        match self.inner.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Infer(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
-        }
-    }
-}
-
-/// Handle to one in-flight streaming chunk; redeem with
-/// [`StreamTicket::wait`]. Same completion contract as [`Ticket`].
-#[derive(Debug)]
-pub struct StreamTicket {
-    inner: Ticket,
-}
-
-impl StreamTicket {
-    /// The flight-recorder request id, as [`Ticket::request_id`].
-    pub fn request_id(&self) -> u64 {
-        self.inner.request_id()
-    }
-
-    /// Blocks until the chunk (or terminal error) is ready.
-    pub fn wait(self) -> Result<StreamChunkResponse, ServeError> {
-        match self.inner.wait_any() {
-            Ok(EngineResponse::Chunk(r)) => Ok(r),
-            Ok(_) => Err(ServeError::Internal),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`Ticket::wait_timeout`], for streaming chunks.
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Option<Result<StreamChunkResponse, ServeError>> {
-        match self.inner.wait_any_timeout(timeout) {
-            Some(Ok(EngineResponse::Chunk(r))) => Some(Ok(r)),
-            Some(Ok(_)) => Some(Err(ServeError::Internal)),
-            Some(Err(e)) => Some(Err(e)),
-            None => None,
         }
     }
 }
@@ -754,10 +726,11 @@ struct Shared {
 /// use fractalcloud_serve::{Engine, ServeConfig};
 /// use fractalcloud_core::PipelineConfig;
 /// use fractalcloud_pointcloud::generate::uniform_cube;
+/// use std::sync::Arc;
 ///
 /// let engine = Engine::start(ServeConfig::default().workers(2));
-/// let frame = uniform_cube(2048, 7);
-/// let response = engine.process(frame, PipelineConfig::default()).unwrap();
+/// let frame = Arc::new(uniform_cube(2048, 7));
+/// let response = engine.process_shared(frame, PipelineConfig::default()).unwrap();
 /// assert_eq!(response.sampled_indices.len(), 512);
 /// engine.shutdown();
 /// ```
@@ -800,23 +773,44 @@ impl Engine {
         self.shared.cfg
     }
 
-    /// Validates and admits one [`Priority::Normal`] frame, returning a
-    /// [`Ticket`] to wait on.
+    /// Validates and admits one [`Priority::Normal`], full-depth frame under
+    /// the configured default deadline, returning a [`Ticket`] to wait on.
+    /// The engine borrows the caller's `Arc<PointCloud>` for the job's
+    /// lifetime: an `Arc` clone is a refcount bump, not a frame copy, which
+    /// is what keeps a warmed serving loop allocation-free.
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit(&self, cloud: PointCloud, config: PipelineConfig) -> Result<Ticket, ServeError> {
-        self.submit_with_priority(cloud, config, Priority::Normal)
+    /// As [`Engine::submit_shared_budget`].
+    pub fn submit_shared(
+        &self,
+        cloud: Arc<PointCloud>,
+        config: PipelineConfig,
+    ) -> Result<Ticket<FrameResponse>, ServeError> {
+        self.submit_shared_budget(cloud, config, 0, Priority::Normal, None)
     }
 
-    /// Validates and admits one frame at the given [`Priority`], returning
-    /// a [`Ticket`] to wait on.
+    /// Validates and admits one frame — the general frame entry point.
     ///
-    /// At the queue bound an arrival may displace a queued job of strictly
-    /// lower class (Bulk first); the displaced job's ticket then resolves
-    /// to [`ShedReason::QueueFull`] exactly as if it had been refused at
-    /// admission.
+    /// A non-zero `budget` answers with only the first `budget` samples of
+    /// the frame's quality ordering (and their neighbor rows) —
+    /// bit-identical to the prefix of the full response, computed at
+    /// proportionally lower cost. 0 = full depth. Budgeted jobs carry a
+    /// budget-specific batch-compat key, so they fuse only with jobs of the
+    /// same budget and never dilute the full-depth block-batching fast
+    /// path.
+    ///
+    /// `priority` picks the queue class. At the queue bound an arrival may
+    /// displace a queued job of strictly lower class (Bulk first); the
+    /// displaced job's ticket then resolves to [`ShedReason::QueueFull`]
+    /// exactly as if it had been refused at admission.
+    ///
+    /// `deadline` is measured from admission; `None` falls back to the
+    /// configured default ([`ServeConfig::deadline_ms`], 0 = unbounded). A
+    /// job whose deadline passes before execution is shed with the
+    /// retryable [`ShedReason::DeadlineExceeded`]; one that expires mid-run
+    /// is cancelled at the next pipeline stage seam and resolves the same
+    /// way.
     ///
     /// # Errors
     ///
@@ -824,80 +818,6 @@ impl Engine {
     /// [`ServeError::Shed`] when admission declines the request (queue
     /// full with nothing lower-class to displace, oversized frame,
     /// shutdown in progress).
-    pub fn submit_with_priority(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_with_options(cloud, config, priority, None)
-    }
-
-    /// [`Engine::submit_with_priority`] with an explicit per-request
-    /// deadline, measured from admission. `None` falls back to the
-    /// configured default ([`ServeConfig::deadline_ms`], 0 = unbounded).
-    /// A job whose deadline passes before execution is shed with the
-    /// retryable [`ShedReason::DeadlineExceeded`]; one that expires
-    /// mid-run is cancelled at the next pipeline stage seam and resolves
-    /// the same way.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit_with_options(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_with_options(Arc::new(cloud), config, priority, deadline)
-    }
-
-    /// [`Engine::submit`] without copying the frame: the engine borrows the
-    /// caller's `Arc<PointCloud>` for the job's lifetime. The shared-cloud
-    /// entry points are what keep a warmed serving loop allocation-free —
-    /// an `Arc` clone is a refcount bump, not a frame copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit`].
-    pub fn submit_shared(
-        &self,
-        cloud: Arc<PointCloud>,
-        config: PipelineConfig,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_with_options(cloud, config, Priority::Normal, None)
-    }
-
-    /// [`Engine::submit_with_options`] over a shared frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn submit_shared_with_options(
-        &self,
-        cloud: Arc<PointCloud>,
-        config: PipelineConfig,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_shared_budget(cloud, config, 0, priority, deadline)
-    }
-
-    /// [`Engine::submit_shared_with_options`] with a sample budget: a
-    /// non-zero `budget` answers with only the first `budget` samples of
-    /// the frame's quality ordering (and their neighbor rows) —
-    /// bit-identical to the prefix of the full response, computed at
-    /// proportionally lower cost. 0 = full depth.
-    ///
-    /// Budgeted jobs carry a budget-specific batch-compat key, so they
-    /// fuse only with jobs of the same budget and never dilute the
-    /// full-depth block-batching fast path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
     pub fn submit_shared_budget(
         &self,
         cloud: Arc<PointCloud>,
@@ -905,7 +825,7 @@ impl Engine {
         budget: usize,
         priority: Priority,
         deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket<FrameResponse>, ServeError> {
         let compat = match budget {
             0 => config.compat_key(),
             b => fnv1a64(fnv1a64(config.compat_key(), 0x4c4f_4442), b as u64),
@@ -923,7 +843,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit_with_priority`].
+    /// As [`Engine::submit_shared_budget`].
     pub fn submit_stream_chunk(
         &self,
         cloud: Arc<PointCloud>,
@@ -932,18 +852,16 @@ impl Engine {
         hi: usize,
         priority: Priority,
         deadline: Option<Duration>,
-    ) -> Result<StreamTicket, ServeError> {
+    ) -> Result<Ticket<StreamChunkResponse>, ServeError> {
         // Distinct compat tag: chunk jobs fuse with each other (per-job
         // lanes) but never gate a pure frame batch off its block-batching
         // fast path.
         let compat = fnv1a64(config.compat_key(), 0x5354_524d);
-        let ticket =
-            self.admit(cloud, config, compat, WorkKind::Stream { lo, hi }, priority, deadline)?;
-        Ok(StreamTicket { inner: ticket })
+        self.admit(cloud, config, compat, WorkKind::Stream { lo, hi }, priority, deadline)
     }
 
-    /// Validates and admits one inference request, returning an
-    /// [`InferTicket`] to wait on. The request's stage-1 pipeline (leaf
+    /// Validates and admits one inference request, returning a [`Ticket`]
+    /// to wait on. The request's stage-1 pipeline (leaf
     /// threshold from the request, sampling/grouping geometry from the
     /// model's first set-abstraction stage) shares the engine's partition
     /// cache, priority lanes, deadlines, and fault-injection points with
@@ -954,12 +872,12 @@ impl Engine {
     ///
     /// [`ServeError::Invalid`] for empty frames, models without a
     /// set-abstraction stage, or bad derived parameters;
-    /// [`ServeError::Shed`] exactly as [`Engine::submit_with_priority`].
+    /// [`ServeError::Shed`] exactly as [`Engine::submit_shared_budget`].
     pub fn submit_infer(
         &self,
         cloud: Arc<PointCloud>,
         req: InferRequest,
-    ) -> Result<InferTicket, ServeError> {
+    ) -> Result<Ticket<InferResponse>, ServeError> {
         let InferRequest { model, seed, threshold, aggregation, priority, deadline } = req;
         let Some(sa) = model.stages.first() else {
             let m = &self.shared.metrics;
@@ -974,9 +892,7 @@ impl Engine {
         let aggregation = aggregation.unwrap_or_else(Aggregation::from_env);
         let executor = self.executor_for(model, seed, aggregation);
         let compat = infer_compat(&executor, &config);
-        let ticket =
-            self.admit(cloud, config, compat, WorkKind::Infer { executor }, priority, deadline)?;
-        Ok(InferTicket { inner: ticket })
+        self.admit(cloud, config, compat, WorkKind::Infer { executor }, priority, deadline)
     }
 
     /// The cached executor for `(model, seed, aggregation)`, materializing
@@ -1003,7 +919,7 @@ impl Engine {
     /// The shared admission path: validate, then queue under the bound (or
     /// displace / shed), minting the ticket pair only once admission is
     /// certain.
-    fn admit(
+    fn admit<R>(
         &self,
         cloud: Arc<PointCloud>,
         config: PipelineConfig,
@@ -1011,7 +927,7 @@ impl Engine {
         kind: WorkKind,
         priority: Priority,
         deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket<R>, ServeError> {
         let m = &self.shared.metrics;
         m.submitted.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = config.validate() {
@@ -1037,29 +953,25 @@ impl Engine {
         // frame/inference work sheds retryably before touching the queue
         // (streams keep flowing — their refinement chunks are Bulk and
         // already shed first at the queue bound).
+        // Every queue-full shed is counted globally and against the class
+        // that lost its place.
+        let shed_full = |class: Priority| {
+            m.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+            m.shed_by_class[class.index()].fetch_add(1, Ordering::Relaxed);
+            ServeError::Shed(ShedReason::QueueFull)
+        };
         let mut compat = compat;
         let mut degrade = 0u8;
         let level = self.shared.overload.level_u8();
-        if level > 0 && priority != Priority::High {
-            match kind {
-                WorkKind::Frame { .. } => {
-                    if level >= SHED_LEVEL {
-                        m.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                        m.shed_by_class[priority.index()].fetch_add(1, Ordering::Relaxed);
-                        return Err(ServeError::Shed(ShedReason::QueueFull));
-                    }
-                    degrade = level.min(MAX_BROWNOUT);
-                    // Degraded jobs fuse only with same-level peers (and
-                    // never gate a full-quality batch off its block-fused
-                    // fast path).
-                    compat = fnv1a64(fnv1a64(compat, 0x4447_5244), u64::from(degrade));
-                }
-                WorkKind::Infer { .. } if level >= SHED_LEVEL => {
-                    m.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                    m.shed_by_class[priority.index()].fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Shed(ShedReason::QueueFull));
-                }
-                _ => {}
+        if level > 0 && priority != Priority::High && !matches!(kind, WorkKind::Stream { .. }) {
+            if level >= SHED_LEVEL {
+                return Err(shed_full(priority));
+            }
+            if let WorkKind::Frame { .. } = kind {
+                degrade = level.min(MAX_BROWNOUT);
+                // Degraded jobs fuse only with same-level peers (and never
+                // gate a full-quality batch off its block-fused fast path).
+                compat = fnv1a64(fnv1a64(compat, 0x4447_5244), u64::from(degrade));
             }
         }
 
@@ -1085,11 +997,7 @@ impl Engine {
                 // queued job makes room, otherwise the arrival itself sheds.
                 match queue.displace_below(priority) {
                     Some(victim) => displaced = Some(victim),
-                    None => {
-                        m.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                        m.shed_by_class[priority.index()].fetch_add(1, Ordering::Relaxed);
-                        return Err(ServeError::Shed(ShedReason::QueueFull));
-                    }
+                    None => return Err(shed_full(priority)),
                 }
             }
             // The job (and the resolution obligation its guard carries) is
@@ -1119,54 +1027,31 @@ impl Engine {
             displaced
         };
         if let Some(victim) = displaced {
-            m.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            m.shed_by_class[victim.priority.index()].fetch_add(1, Ordering::Relaxed);
-            victim.ticket.finish(Err(ServeError::Shed(ShedReason::QueueFull)));
+            victim.ticket.finish(Err(shed_full(victim.priority)));
         }
         self.shared.available.notify_one();
-        Ok(Ticket { slot: Some(slot), stash: Arc::clone(&self.shared.slots), req })
+        Ok(Ticket {
+            slot: Some(slot),
+            stash: Arc::clone(&self.shared.slots),
+            req,
+            kind: PhantomData,
+        })
     }
 
-    /// Submits a frame and blocks for its response — the in-process client
-    /// call ([`Priority::Normal`]).
+    /// Submits a [`Priority::Normal`], full-depth frame and blocks for its
+    /// response — the in-process client call. With [`Engine::recycle`], the
+    /// warmed cache-hit serving loop this enables performs zero heap
+    /// allocations per frame.
     ///
     /// # Errors
     ///
-    /// As [`Engine::submit`].
-    pub fn process(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-    ) -> Result<FrameResponse, ServeError> {
-        self.submit(cloud, config)?.wait()
-    }
-
-    /// [`Engine::process`] over a shared frame — with
-    /// [`Engine::recycle`], the warmed cache-hit serving loop this enables
-    /// performs zero heap allocations per frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit`].
+    /// As [`Engine::submit_shared_budget`].
     pub fn process_shared(
         &self,
         cloud: Arc<PointCloud>,
         config: PipelineConfig,
     ) -> Result<FrameResponse, ServeError> {
         self.submit_shared(cloud, config)?.wait()
-    }
-
-    /// Submits an inference request and blocks for its response.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_infer`].
-    pub fn process_infer(
-        &self,
-        cloud: Arc<PointCloud>,
-        req: InferRequest,
-    ) -> Result<InferResponse, ServeError> {
-        self.submit_infer(cloud, req)?.wait()
     }
 
     /// Returns a finished response's buffers to the engine's staging pool
@@ -1180,21 +1065,6 @@ impl Engine {
     /// [`Engine::recycle`] for inference responses.
     pub fn recycle_infer(&self, response: InferResponse) {
         self.shared.infer_outputs.put(response.output);
-    }
-
-    /// Submits a frame at the given [`Priority`] and blocks for its
-    /// response.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::submit_with_priority`].
-    pub fn process_with_priority(
-        &self,
-        cloud: PointCloud,
-        config: PipelineConfig,
-        priority: Priority,
-    ) -> Result<FrameResponse, ServeError> {
-        self.submit_with_priority(cloud, config, priority)?.wait()
     }
 
     /// A point-in-time copy of every serving metric. `faults_injected`
@@ -1725,17 +1595,12 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         // per-batch result vector — with a warmed workspace and staging
         // this path performs zero heap allocations.
         let job = batch.pop().expect("size checked above");
-        let Job { cloud, config, kind, ticket, deadline, req, priority, degrade, .. } = job;
-        let _trace = obs::scoped_context(req, priority.index() as u8);
-        let mut ws = global_pool().checkout();
-        let outcome =
-            run_job(shared, &cloud, config, &kind, priority, degrade, deadline, size, &mut ws);
+        let (ticket, outcome) = run_job(shared, job, size, &mut global_pool().checkout());
         ticket.finish(outcome);
         return;
     }
 
-    if shared.cfg.batch_blocks
-        && shared.cfg.thread_budget > 1
+    if shared.cfg.thread_budget > 1
         && batch.iter().all(|j| j.degrade == 0 && matches!(j.kind, WorkKind::Frame { budget: 0 }))
     {
         // The tentpole path: flatten the union of all frames' blocks into
@@ -1744,7 +1609,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         // saturate: with one worker the flattened list buys nothing and
         // measures ~1% slower than the frame-at-a-time order below (the
         // partitions-then-blocks barrier costs frame locality), so the
-        // legacy order serves budget-1 hosts — results are bit-identical
+        // frame-at-a-time order serves budget-1 hosts — results are bit-identical
         // either way; this is purely a schedule choice. (Frames only:
         // inference batches — compat-homogeneous by key construction —
         // take the per-job lanes below.)
@@ -1753,7 +1618,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         return;
     }
 
-    // Legacy schedule: one lane per job. `parallel_map_budget_with` divides
+    // Per-job lanes: one lane per job. `parallel_map_budget_with` divides
     // the engine's budget across the lanes, each lane's allowance is
     // inherited by every fan-out inside the pipeline, and each lane checks
     // one workspace out of the process-wide pool — scratch is reused
@@ -1765,13 +1630,7 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
         owned,
         shared.cfg.thread_budget,
         || global_pool().checkout(),
-        |_, job, ws| {
-            let Job { cloud, config, kind, ticket, deadline, req, priority, degrade, .. } = job;
-            let _trace = obs::scoped_context(req, priority.index() as u8);
-            let outcome =
-                run_job(shared, &cloud, config, &kind, priority, degrade, deadline, size, ws);
-            (ticket, outcome)
-        },
+        |_, job, ws| run_job(shared, job, size, ws),
     );
     // A lane that panicked dropped its (ticket, outcome) pair mid-flight —
     // that ticket already resolved Internal via its guard; the survivors
@@ -1781,33 +1640,31 @@ fn execute_batch(shared: &Shared, batch: &mut Vec<Job>) {
     }
 }
 
-/// Dispatches one job to its kind's executor.
-#[allow(clippy::too_many_arguments)]
+/// Dispatches one job to its kind's executor inside the job's trace
+/// context, handing back the job's ticket with the outcome to resolve.
 fn run_job(
     shared: &Shared,
-    cloud: &PointCloud,
-    config: PipelineConfig,
-    kind: &WorkKind,
-    priority: Priority,
-    degrade: u8,
-    deadline: Option<Instant>,
+    job: Job,
     batch_size: usize,
     ws: &mut Workspace,
-) -> Result<EngineResponse, ServeError> {
-    match kind {
+) -> (TicketGuard, Result<EngineResponse, ServeError>) {
+    let Job { cloud, config, kind, ticket, deadline, req, priority, degrade, .. } = job;
+    let _trace = obs::scoped_context(req, priority.index() as u8);
+    let outcome = match kind {
         WorkKind::Frame { budget } => {
-            execute_one(shared, cloud, config, *budget, priority, degrade, deadline, batch_size, ws)
+            execute_one(shared, &cloud, config, budget, priority, degrade, deadline, batch_size, ws)
                 .map(EngineResponse::Frame)
         }
         WorkKind::Stream { lo, hi } => {
-            execute_stream_one(shared, cloud, config, *lo, *hi, deadline, ws)
+            execute_stream_one(shared, &cloud, config, lo, hi, deadline, ws)
                 .map(EngineResponse::Chunk)
         }
         WorkKind::Infer { executor } => {
-            execute_infer_one(shared, cloud, config, executor, deadline, batch_size, ws)
+            execute_infer_one(shared, &cloud, config, &executor, deadline, batch_size, ws)
                 .map(EngineResponse::Infer)
         }
-    }
+    };
+    (ticket, outcome)
 }
 
 /// Cross-frame block batching: the union of the batch's blocks runs as ONE
@@ -1987,20 +1844,8 @@ fn execute_batch_blocks(shared: &Shared, batch: Vec<Job>) {
             1 => ctx.job.ticket.finish(Err(ServeError::Shed(ShedReason::DeadlineExceeded))),
             _ => {
                 let (built, cache_hit) = ctx.built.expect("live frames have partitions");
-                let out = ctx.pipeline.assemble_output(&built, sampled, grouped);
-                let response = FrameResponse {
-                    sampled_indices: out.sampled.indices,
-                    neighbor_indices: out.grouped.indices,
-                    found: out.grouped.found,
-                    num: out.grouped.num,
-                    blocks: out.blocks,
-                    sample_counters: out.sampled.counters,
-                    group_counters: out.grouped.counters,
-                    cache_hit,
-                    batch_size: size,
-                    degraded: false,
-                    budget_served: 0,
-                };
+                let mut out = ctx.pipeline.assemble_output(&built, sampled, grouped);
+                let response = take_response(shared, &mut out, cache_hit, size);
                 ctx.job.ticket.finish(Ok(EngineResponse::Frame(response)));
             }
         }
@@ -2029,15 +1874,8 @@ fn execute_one(
     batch_size: usize,
     ws: &mut Workspace,
 ) -> Result<FrameResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    if faults::fire(&shared.faults, FaultPoint::Block) {
-        return Err(ServeError::Internal);
-    }
+    let (pipeline, built, cache_hit) = partition_job(shared, cloud, config, deadline, ws)?;
     let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
-    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
 
     // Brown-out resolves here, where the partition (and thus the frame's
     // full sample total) is in hand: the served budget is the requested
@@ -2071,50 +1909,32 @@ fn execute_one(
         let mut out = pipeline
             .run_with_partition_budget(cloud, &built, budget, parallel)
             .map_err(ServeError::Invalid)?;
-        let mut resp = shared.responses.take();
-        std::mem::swap(&mut resp.sampled_indices, &mut out.sampled.indices);
-        std::mem::swap(&mut resp.neighbor_indices, &mut out.grouped.indices);
-        std::mem::swap(&mut resp.found, &mut out.grouped.found);
-        resp.num = out.grouped.num;
-        resp.blocks = out.blocks;
-        resp.sample_counters = out.sampled.counters;
-        resp.group_counters = out.grouped.counters;
-        resp.cache_hit = cache_hit;
-        resp.batch_size = batch_size;
-        // Pooled shells recycle: both marker fields are (re)set every time.
-        resp.degraded = degraded;
-        resp.budget_served = if degraded { resp.sampled_indices.len() } else { 0 };
+        let mut resp = take_response(shared, &mut out, cache_hit, batch_size);
+        if degraded {
+            resp.degraded = true;
+            resp.budget_served = resp.sampled_indices.len();
+        }
         return Ok(resp);
     }
 
     let mut staging = shared.outputs.checkout();
-    // Deadline-free requests keep the plain path (no CancelToken, no Arc
-    // allocation — preserving the zero-alloc warmed steady state); a
-    // deadline arms cooperative cancellation at the pipeline stage seams.
-    let run = match deadline {
-        None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut staging),
-        Some(d) => {
-            let cancel = CancelToken::with_deadline(d);
-            pipeline.run_with_partition_into_cancel(
-                cloud,
-                &built,
-                parallel,
-                ws,
-                &mut staging,
-                &cancel,
-            )
-        }
-    };
-    run.map_err(|e| match e {
-        Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-        other => ServeError::Invalid(other),
-    })?;
-    let out = &mut *staging;
-    // Swap the filled staging vectors with a recycled response's spent ones
-    // (instead of `mem::take`, which would strip the staging's capacity
-    // every frame): the response leaves with the data, the staging keeps
-    // warm buffers, and once clients recycle ([`Engine::recycle`]) the
-    // capacity circulates indefinitely — zero allocations per warm frame.
+    run_bppo(&pipeline, cloud, &built, parallel, ws, &mut staging, deadline)?;
+    Ok(take_response(shared, &mut staging, cache_hit, batch_size))
+}
+
+/// Moves a finished run's result vectors out of `out` into a recycled
+/// response shell. The vectors are *swapped* with the shell's spent ones
+/// (instead of `mem::take`, which would strip the staging's capacity every
+/// frame): the response leaves with the data, the staging keeps warm
+/// buffers, and once clients recycle ([`Engine::recycle`]) the capacity
+/// circulates indefinitely — zero allocations per warm frame. The shell's
+/// degradation marker is cleared (pooled shells recycle).
+fn take_response(
+    shared: &Shared,
+    out: &mut PipelineOutput,
+    cache_hit: bool,
+    batch_size: usize,
+) -> FrameResponse {
     let mut resp = shared.responses.take();
     std::mem::swap(&mut resp.sampled_indices, &mut out.sampled.indices);
     std::mem::swap(&mut resp.neighbor_indices, &mut out.grouped.indices);
@@ -2125,41 +1945,70 @@ fn execute_one(
     resp.group_counters = out.grouped.counters;
     resp.cache_hit = cache_hit;
     resp.batch_size = batch_size;
-    // Pooled shells recycle: clear any stale degradation marker.
     resp.degraded = false;
     resp.budget_served = 0;
-    Ok(resp)
+    resp
 }
 
-/// The partition half shared by both request kinds: look the frame up in
-/// the engine-wide LRU, else build (with this lane's workspace and budget)
-/// and insert — the insert skipped under an injected cache fault, which
-/// costs a future miss, never correctness.
-fn cached_partition(
+/// The front every job kind shares: the deadline and block-fault checks,
+/// then the frame's pipeline and partition. The partition comes from the
+/// engine-wide LRU, else is built (with this lane's workspace and budget)
+/// and inserted — the insert skipped under an injected cache fault, which
+/// costs a future miss, never correctness. The flag is the cache verdict.
+fn partition_job(
     shared: &Shared,
-    pipeline: &Pipeline,
     cloud: &PointCloud,
-    parallel: bool,
+    config: PipelineConfig,
+    deadline: Option<Instant>,
     ws: &mut Workspace,
-) -> Result<(Arc<fractalcloud_core::FractalResult>, bool), ServeError> {
+) -> Result<(Pipeline, Arc<fractalcloud_core::FractalResult>, bool), ServeError> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
+    }
+    if faults::fire(&shared.faults, FaultPoint::Block) {
+        return Err(ServeError::Internal);
+    }
+    let parallel = fractalcloud_parallel::effective_budget() > 1;
+    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
     let key = frame_key(cloud, pipeline.config().threshold);
     let cached = lock_unpoisoned(&shared.cache).get(key);
-    match cached {
-        Some(b) => {
-            obs::event(obs::SpanKind::PartitionCacheHit, 0);
-            shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Ok((b, true))
-        }
-        None => {
-            shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let built =
-                Arc::new(pipeline.partition_ws(cloud, parallel, ws).map_err(ServeError::Invalid)?);
-            if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
-                lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
-            }
-            Ok((built, false))
-        }
+    if let Some(built) = cached {
+        obs::event(obs::SpanKind::PartitionCacheHit, 0);
+        shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        return Ok((pipeline, built, true));
     }
+    shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+    let built = Arc::new(pipeline.partition_ws(cloud, parallel, ws).map_err(ServeError::Invalid)?);
+    if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
+        lock_unpoisoned(&shared.cache).insert(key, Arc::clone(&built));
+    }
+    Ok((pipeline, built, false))
+}
+
+/// Runs the BPPO half over a partition into `out`. Deadline-free requests
+/// keep the plain path (no [`CancelToken`], no `Arc` allocation —
+/// preserving the zero-alloc warmed steady state); a deadline arms
+/// cooperative cancellation at the pipeline stage seams.
+fn run_bppo(
+    pipeline: &Pipeline,
+    cloud: &PointCloud,
+    built: &fractalcloud_core::FractalResult,
+    parallel: bool,
+    ws: &mut Workspace,
+    out: &mut PipelineOutput,
+    deadline: Option<Instant>,
+) -> Result<(), ServeError> {
+    let run = match deadline {
+        None => pipeline.run_with_partition_into(cloud, built, parallel, ws, out),
+        Some(d) => {
+            let cancel = CancelToken::with_deadline(d);
+            pipeline.run_with_partition_into_cancel(cloud, built, parallel, ws, out, &cancel)
+        }
+    };
+    run.map_err(|e| match e {
+        Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
+        other => ServeError::Invalid(other),
+    })
 }
 
 /// Runs one progressive-LOD refinement chunk: samples `lo..hi` of the
@@ -2183,15 +2032,8 @@ fn execute_stream_one(
     deadline: Option<Instant>,
     ws: &mut Workspace,
 ) -> Result<StreamChunkResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    if faults::fire(&shared.faults, FaultPoint::Block) {
-        return Err(ServeError::Internal);
-    }
+    let (pipeline, built, part_hit) = partition_job(shared, cloud, config, deadline, ws)?;
     let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
-    let (built, part_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
 
     let key = frame_key(cloud, pipeline.config().threshold);
     let order_key = fnv1a64(fnv1a64(FNV1A64_SEED, key), pipeline.config().compat_key());
@@ -2200,19 +2042,7 @@ fn execute_stream_one(
         Some(full) => full,
         None => {
             let mut out = PipelineOutput::default();
-            let run = match deadline {
-                None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut out),
-                Some(d) => {
-                    let cancel = CancelToken::with_deadline(d);
-                    pipeline.run_with_partition_into_cancel(
-                        cloud, &built, parallel, ws, &mut out, &cancel,
-                    )
-                }
-            };
-            run.map_err(|e| match e {
-                Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-                other => ServeError::Invalid(other),
-            })?;
+            run_bppo(&pipeline, cloud, &built, parallel, ws, &mut out, deadline)?;
             let full = Arc::new(out);
             if !faults::fire(&shared.faults, FaultPoint::CacheInsert) {
                 lock_unpoisoned(&shared.cache).insert_order(order_key, Arc::clone(&full));
@@ -2245,35 +2075,10 @@ fn execute_infer_one(
     batch_size: usize,
     ws: &mut Workspace,
 ) -> Result<InferResponse, ServeError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(ServeError::Shed(ShedReason::DeadlineExceeded));
-    }
-    if faults::fire(&shared.faults, FaultPoint::Block) {
-        return Err(ServeError::Internal);
-    }
+    let (pipeline, built, cache_hit) = partition_job(shared, cloud, config, deadline, ws)?;
     let parallel = fractalcloud_parallel::effective_budget() > 1;
-    let pipeline = Pipeline::new(config).map_err(ServeError::Invalid)?;
-    let (built, cache_hit) = cached_partition(shared, &pipeline, cloud, parallel, ws)?;
-
     let mut staging = shared.outputs.checkout();
-    let run = match deadline {
-        None => pipeline.run_with_partition_into(cloud, &built, parallel, ws, &mut staging),
-        Some(d) => {
-            let cancel = CancelToken::with_deadline(d);
-            pipeline.run_with_partition_into_cancel(
-                cloud,
-                &built,
-                parallel,
-                ws,
-                &mut staging,
-                &cancel,
-            )
-        }
-    };
-    run.map_err(|e| match e {
-        Error::Cancelled => ServeError::Shed(ShedReason::DeadlineExceeded),
-        other => ServeError::Invalid(other),
-    })?;
+    run_bppo(&pipeline, cloud, &built, parallel, ws, &mut staging, deadline)?;
     // The forward pass has no internal cancel seam; re-check the deadline
     // at the pipeline→network boundary so an already-expired request never
     // pays for the MLP stack.
@@ -2337,7 +2142,7 @@ mod tests {
     fn process_round_trips_a_frame() {
         let engine = small_engine();
         let cloud = uniform_cube(1024, 3);
-        let r = engine.process(cloud, PipelineConfig::default()).unwrap();
+        let r = engine.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert_eq!(r.sampled_indices.len(), 256);
         assert_eq!(r.found.len(), 256);
         assert_eq!(r.neighbor_indices.len(), 256 * r.num);
@@ -2349,8 +2154,8 @@ mod tests {
     fn repeated_frame_hits_partition_cache_with_identical_results() {
         let engine = small_engine();
         let cloud = scene_cloud(&SceneConfig::default(), 2048, 5);
-        let a = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
-        let b = engine.process(cloud, PipelineConfig::default()).unwrap();
+        let a = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
+        let b = engine.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert!(!a.cache_hit);
         assert!(b.cache_hit);
         assert_eq!(a.sampled_indices, b.sampled_indices);
@@ -2364,10 +2169,12 @@ mod tests {
     #[test]
     fn invalid_requests_are_rejected_not_shed() {
         let engine = small_engine();
-        let empty = engine.process(PointCloud::new(), PipelineConfig::default());
+        let empty = engine.process_shared(Arc::new(PointCloud::new()), PipelineConfig::default());
         assert_eq!(empty, Err(ServeError::Invalid(Error::EmptyCloud)));
-        let bad = engine
-            .process(uniform_cube(64, 1), PipelineConfig { neighbors: 0, ..Default::default() });
+        let bad = engine.process_shared(
+            Arc::new(uniform_cube(64, 1)),
+            PipelineConfig { neighbors: 0, ..Default::default() },
+        );
         assert!(matches!(bad, Err(ServeError::Invalid(Error::InvalidParameter { .. }))));
         assert_eq!(engine.metrics().rejected_invalid, 2);
         assert_eq!(engine.metrics().shed_total(), 0);
@@ -2378,10 +2185,19 @@ mod tests {
     fn priority_classes_round_trip_with_identical_results() {
         let engine = small_engine();
         let cloud = uniform_cube(1024, 17);
-        let normal = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
+        let normal =
+            engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
         for p in Priority::ALL {
-            let r =
-                engine.process_with_priority(cloud.clone(), PipelineConfig::default(), p).unwrap();
+            let r = engine
+                .submit_shared_budget(
+                    Arc::new(cloud.clone()),
+                    PipelineConfig::default(),
+                    0,
+                    p,
+                    None,
+                )
+                .and_then(Ticket::wait)
+                .unwrap();
             assert_eq!(r.sampled_indices, normal.sampled_indices, "priority changed results");
             assert_eq!(r.neighbor_indices, normal.neighbor_indices);
         }
@@ -2417,8 +2233,13 @@ mod tests {
     }
 
     /// A waiter-side ticket over `slot` with a throwaway stash.
-    fn test_ticket(slot: Arc<Slot>) -> Ticket {
-        Ticket { slot: Some(slot), stash: Arc::new(SlotStash::default()), req: 0 }
+    fn test_ticket(slot: Arc<Slot>) -> Ticket<FrameResponse> {
+        Ticket {
+            slot: Some(slot),
+            stash: Arc::new(SlotStash::default()),
+            req: 0,
+            kind: PhantomData,
+        }
     }
 
     #[test]
@@ -2474,7 +2295,7 @@ mod tests {
     fn submit_after_shutdown_sheds() {
         let engine = small_engine();
         engine.shutdown();
-        let r = engine.submit(uniform_cube(64, 1), PipelineConfig::default());
+        let r = engine.submit_shared(Arc::new(uniform_cube(64, 1)), PipelineConfig::default());
         assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::ShuttingDown));
         assert_eq!(engine.metrics().shed_shutdown, 1);
     }
@@ -2515,6 +2336,18 @@ mod tests {
     }
 
     #[test]
+    fn wait_timeout_with_an_unrepresentable_deadline_waits_unbounded() {
+        // `Instant::now() + Duration::MAX` overflows: the wait must fall
+        // back to unbounded rather than report "still pending" at once.
+        let engine = small_engine();
+        let cloud = Arc::new(uniform_cube(1024, 3));
+        let ticket = engine.submit_shared(cloud, PipelineConfig::default()).unwrap();
+        let r = ticket.wait_timeout(Duration::MAX);
+        assert!(matches!(r, Some(Ok(_))), "got {r:?}");
+        engine.shutdown();
+    }
+
+    #[test]
     fn lock_unpoisoned_recovers_a_poisoned_mutex() {
         let m = Arc::new(Mutex::new(vec![1, 2, 3]));
         let m2 = Arc::clone(&m);
@@ -2533,9 +2366,10 @@ mod tests {
     fn zero_deadline_requests_shed_as_deadline_exceeded() {
         let engine = small_engine();
         let r = engine
-            .submit_with_options(
-                uniform_cube(1024, 3),
+            .submit_shared_budget(
+                Arc::new(uniform_cube(1024, 3)),
                 PipelineConfig::default(),
+                0,
                 Priority::Normal,
                 Some(Duration::ZERO),
             )
@@ -2546,7 +2380,9 @@ mod tests {
         assert_eq!(m.shed_deadline, 1);
         assert!(m.shed_total() >= 1);
         // The engine is unharmed: the next unbounded request completes.
-        assert!(engine.process(uniform_cube(1024, 3), PipelineConfig::default()).is_ok());
+        assert!(engine
+            .process_shared(Arc::new(uniform_cube(1024, 3)), PipelineConfig::default())
+            .is_ok());
         engine.shutdown();
     }
 
@@ -2556,7 +2392,8 @@ mod tests {
             FaultPlan::OFF.with_fault(FaultKind::Panic, FaultPoint::Worker, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
         for _ in 0..3 {
-            let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+            let r =
+                engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
             assert_eq!(r, Err(ServeError::Internal));
         }
         // The ticket resolves during the unwind, *before* the supervisor
@@ -2583,7 +2420,7 @@ mod tests {
     fn injected_worker_errors_resolve_internal_without_panicking() {
         let plan = FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::Worker, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
-        let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+        let r = engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
         assert_eq!(r, Err(ServeError::Internal));
         let m = engine.metrics();
         assert_eq!(m.worker_panics, 0);
@@ -2595,7 +2432,7 @@ mod tests {
     fn injected_block_errors_resolve_internal() {
         let plan = FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::Block, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
-        let r = engine.process(uniform_cube(256, 5), PipelineConfig::default());
+        let r = engine.process_shared(Arc::new(uniform_cube(256, 5)), PipelineConfig::default());
         assert_eq!(r, Err(ServeError::Internal));
         assert_eq!(engine.metrics().worker_panics, 0);
         engine.shutdown();
@@ -2607,8 +2444,8 @@ mod tests {
             FaultPlan::OFF.with_fault(FaultKind::Err, FaultPoint::CacheInsert, 1.0).with_seed(7);
         let engine = Engine::start(ServeConfig::default().workers(1).faults(plan));
         let cloud = uniform_cube(1024, 9);
-        let a = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
-        let b = engine.process(cloud.clone(), PipelineConfig::default()).unwrap();
+        let a = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
+        let b = engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).unwrap();
         // The insert was dropped both times, so the repeat still misses …
         assert!(!a.cache_hit);
         assert!(!b.cache_hit);
@@ -2618,7 +2455,7 @@ mod tests {
         engine.shutdown();
 
         let clean = Engine::start(ServeConfig::default().workers(1));
-        let c = clean.process(cloud, PipelineConfig::default()).unwrap();
+        let c = clean.process_shared(Arc::new(cloud), PipelineConfig::default()).unwrap();
         assert_eq!(c.sampled_indices, a.sampled_indices);
         clean.shutdown();
     }
@@ -2631,7 +2468,7 @@ mod tests {
         assert_eq!(before.workers_alive, 2);
         assert_eq!(before.workers_configured, 2);
         assert_eq!(before.queued_by_class, [0, 0, 0]);
-        engine.process(uniform_cube(512, 3), PipelineConfig::default()).unwrap();
+        engine.process_shared(Arc::new(uniform_cube(512, 3)), PipelineConfig::default()).unwrap();
         let after = engine.health();
         assert_eq!(after.worker_panics, 0);
         assert_eq!(after.workers_respawned, 0);
@@ -2647,9 +2484,14 @@ mod tests {
     fn infer_schedules_are_bit_identical_and_delayed_saves_macs() {
         let engine = small_engine();
         let cloud = Arc::new(uniform_cube(2048, 11));
-        let eager =
-            engine.process_infer(Arc::clone(&cloud), infer_request(Aggregation::Eager)).unwrap();
-        let delayed = engine.process_infer(cloud, infer_request(Aggregation::Delayed)).unwrap();
+        let eager = engine
+            .submit_infer(Arc::clone(&cloud), infer_request(Aggregation::Eager))
+            .and_then(Ticket::wait)
+            .unwrap();
+        let delayed = engine
+            .submit_infer(cloud, infer_request(Aggregation::Delayed))
+            .and_then(Ticket::wait)
+            .unwrap();
         assert_eq!(eager.aggregation, Aggregation::Eager);
         assert_eq!(delayed.aggregation, Aggregation::Delayed);
         assert_eq!(eager.output.classes, delayed.output.classes);
@@ -2671,9 +2513,14 @@ mod tests {
     fn repeated_infer_hits_partition_cache_with_identical_logits() {
         let engine = small_engine();
         let cloud = Arc::new(scene_cloud(&SceneConfig::default(), 2048, 5));
-        let a = engine.process_infer(Arc::clone(&cloud), infer_request(Aggregation::Delayed));
+        let a = engine
+            .submit_infer(Arc::clone(&cloud), infer_request(Aggregation::Delayed))
+            .and_then(Ticket::wait);
         let a = a.unwrap();
-        let b = engine.process_infer(cloud, infer_request(Aggregation::Delayed)).unwrap();
+        let b = engine
+            .submit_infer(cloud, infer_request(Aggregation::Delayed))
+            .and_then(Ticket::wait)
+            .unwrap();
         assert!(!a.cache_hit);
         assert!(b.cache_hit);
         assert_eq!(a.output.logits, b.output.logits);
@@ -2689,7 +2536,7 @@ mod tests {
         let engine = small_engine();
         let mut req = infer_request(Aggregation::Delayed);
         req.model.stages.clear();
-        let out = engine.process_infer(Arc::new(uniform_cube(256, 3)), req);
+        let out = engine.submit_infer(Arc::new(uniform_cube(256, 3)), req).and_then(Ticket::wait);
         assert!(matches!(out, Err(ServeError::Invalid(_))), "got {out:?}");
         engine.shutdown();
     }

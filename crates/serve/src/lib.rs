@@ -44,13 +44,13 @@
 //! [`fractalcloud_pnn::NetworkExecutor`] with selectable eager vs Mesorasi
 //! delayed [`Aggregation`] — bit-identical logits either way, in-process or
 //! over TCP. Warmed serving is allocation-free end to end: submit with
-//! [`Engine::process_shared`] / [`Engine::process_infer`] and return
+//! [`Engine::process_shared`] / [`Engine::submit_infer`] and return
 //! response buffers with [`Engine::recycle`] / [`Engine::recycle_infer`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use fractalcloud_serve::{Engine, ServeConfig, ServeClient, TcpServer};
+//! use fractalcloud_serve::{Engine, FrameOptions, ServeConfig, ServeClient, TcpServer};
 //! use fractalcloud_core::PipelineConfig;
 //! use fractalcloud_pointcloud::generate::uniform_cube;
 //! use std::sync::Arc;
@@ -59,7 +59,8 @@
 //! let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine))?;
 //!
 //! let mut client = ServeClient::connect(server.local_addr())?;
-//! let reply = client.process(&uniform_cube(1024, 7), &PipelineConfig::default()).unwrap();
+//! let cloud = uniform_cube(1024, 7);
+//! let reply = client.process(&cloud, &PipelineConfig::default(), &FrameOptions::default()).unwrap();
 //! assert_eq!(reply.sampled_indices.len(), 256);
 //!
 //! server.shutdown();
@@ -81,13 +82,13 @@ pub mod protocol;
 
 pub use config::ServeConfig;
 pub use engine::{
-    Engine, EngineHealth, FrameResponse, InferRequest, InferResponse, InferTicket, Priority,
-    ServeError, ShedReason, StreamChunkResponse, StreamTicket, Ticket,
+    Engine, EngineHealth, FrameResponse, InferRequest, InferResponse, Priority, ServeError,
+    ShedReason, StreamChunkResponse, Ticket,
 };
 pub use faults::{FaultKind, FaultPlan, FaultPoint};
 // Re-exported so serve clients can build an [`InferRequest`] without
 // depending on the pnn crate directly.
 pub use fractalcloud_pnn::{Aggregation, ModelConfig};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
-pub use net::{ClientError, RetryPolicy, ServeClient, StreamEvent, TcpServer};
+pub use net::{ClientError, FrameOptions, RetryPolicy, ServeClient, StreamEvent, TcpServer};
 pub use overload::{BrownoutConfig, OverloadLevel};

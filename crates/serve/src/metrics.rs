@@ -84,7 +84,7 @@ impl LatencyHistogram {
 /// All counters the engine and TCP front-end maintain.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Requests offered to [`Engine::submit`](crate::Engine::submit).
+    /// Requests offered to the engine (every `submit_*` entry point).
     pub submitted: AtomicU64,
     /// Requests admitted to the queue.
     pub admitted: AtomicU64,

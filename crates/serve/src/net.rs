@@ -31,18 +31,18 @@
 
 use crate::engine::{
     aggregation_wire, Engine, EngineHealth, FrameResponse, InferRequest, InferResponse, Priority,
-    ServeError, ShedReason,
+    ServeError, ShedReason, StreamChunkResponse, Ticket, TicketResponse,
 };
 use crate::faults::{self, FaultLayer, FaultPoint};
 use crate::protocol::{
     self, status, WireError, WireInferRequest, WireInferResponse, WireLodSegment, WireResponse,
-    WireStreamChunk, WireStreamEnd, WireStreamOpen, AGG_DELAYED, AGG_EAGER, MAGIC, OP_HEALTH,
-    OP_INFER, OP_METRICS, OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CANCEL, OP_STREAM_CREDIT,
-    OP_TRACE_DUMP,
+    WireStreamChunk, WireStreamEnd, WireStreamOpen, AGG_DELAYED, AGG_EAGER, OP_HEALTH, OP_INFER,
+    OP_METRICS, OP_PROCESS_FRAME, OP_STREAM, OP_STREAM_CANCEL, OP_STREAM_CREDIT, OP_TRACE_DUMP,
 };
 use fractalcloud_core::PipelineConfig;
 use fractalcloud_obs as obs;
 use fractalcloud_pnn::{Aggregation, ModelConfig};
+use fractalcloud_pointcloud::PointCloud;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -256,9 +256,45 @@ fn refuse_connection(mut stream: TcpStream) {
     }
 }
 
+/// Why a connection handler stopped serving.
+enum Close {
+    /// A clean end: EOF between requests, an idle reap, a viewer leaving
+    /// mid-stream, or a framing error that was already answered.
+    Quiet,
+    /// A transport failure or an injected fault, counted in
+    /// `net_disconnects`.
+    Error,
+}
+
+impl From<io::Error> for Close {
+    fn from(_: io::Error) -> Close {
+        Close::Error
+    }
+}
+
+/// One served connection: the socket plus what its requests share.
+struct Conn<'a> {
+    stream: TcpStream,
+    engine: &'a Engine,
+    gate: &'a FairGate,
+    faults: Option<Arc<FaultLayer>>,
+    scratch: WireScratch,
+    /// Set once the connection was told to go away; it then counts as
+    /// drained when it closes, however it closes.
+    sent_goaway: bool,
+}
+
+impl Drop for Conn<'_> {
+    fn drop(&mut self) {
+        if self.sent_goaway {
+            self.engine.metrics_registry().connections_drained.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Serves one connection: a loop of request → response frames. Returns (and
 /// closes the stream) on EOF, protocol violation, or I/O error.
-fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGate) {
+fn handle_connection(stream: TcpStream, engine: &Engine, gate: &FairGate) {
     // Handlers use blocking reads; the listener's non-blocking flag is
     // inherited on some platforms, so reset it explicitly.
     if stream.set_nonblocking(false).is_err() {
@@ -275,50 +311,44 @@ fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGat
             return;
         }
     }
-    let metrics = engine.metrics_registry();
-    // Counts this connection as drained (when it eventually closes) once
-    // it has been told to go away at least once.
-    struct DrainTally<'a> {
-        m: &'a crate::metrics::Metrics,
-        sent: bool,
-    }
-    impl Drop for DrainTally<'_> {
-        fn drop(&mut self) {
-            if self.sent {
-                self.m.connections_drained.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    let mut drain_tally = DrainTally { m: metrics, sent: false };
-    let faults: Option<Arc<FaultLayer>> = engine.fault_layer().clone();
-    let mut scratch = WireScratch::default();
+    let faults = engine.fault_layer().clone();
+    let mut conn =
+        Conn { stream, engine, gate, faults, scratch: WireScratch::default(), sent_goaway: false };
     loop {
-        let mut header = [0u8; 9];
-        match read_exact_or_eof(&mut stream, &mut header) {
-            Ok(ReadOutcome::Eof) => return, // clean close between requests
-            Ok(ReadOutcome::Full) => {}
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                // Idle past the timeout between requests: reaped quietly,
-                // not counted as a disconnect error.
-                return;
-            }
-            Err(_) => {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
+        match conn.serve_request() {
+            Ok(()) => {}
+            Err(Close::Quiet) => return,
+            Err(Close::Error) => {
+                engine.metrics_registry().net_disconnects.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
-        if faults::fire(&faults, FaultPoint::NetRead) {
+    }
+}
+
+impl Conn<'_> {
+    /// Reads and answers one request; `Ok` keeps the connection open.
+    fn serve_request(&mut self) -> Result<(), Close> {
+        let metrics = self.engine.metrics_registry();
+        let mut header = [0u8; 9];
+        match read_exact_or_eof(&mut self.stream, &mut header) {
+            Ok(ReadOutcome::Eof) => return Err(Close::Quiet), // clean close between requests
+            Ok(ReadOutcome::Full) => {}
+            // Idle past the timeout between requests: reaped quietly, not
+            // counted as a disconnect error.
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return Err(Close::Quiet);
+            }
+            Err(_) => return Err(Close::Error),
+        }
+        if faults::fire(&self.faults, FaultPoint::NetRead) {
             // Injected read failure: indistinguishable (to the client) from
             // the peer dying mid-request — the connection just drops.
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
+            return Err(Close::Error);
         }
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let (opcode, prio_nibble) = protocol::split_kind(header[4]);
-        let payload_len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
-
-        if magic != MAGIC
-            || !matches!(
+        let framed = protocol::decode_header(&header).ok().and_then(|(kind, len)| {
+            let (opcode, nibble) = protocol::split_kind(kind);
+            matches!(
                 opcode,
                 OP_PROCESS_FRAME
                     | OP_HEALTH
@@ -329,264 +359,375 @@ fn handle_connection(mut stream: TcpStream, engine: &Arc<Engine>, gate: &FairGat
                     | OP_STREAM_CREDIT
                     | OP_STREAM_CANCEL
             )
-        {
+            .then_some((opcode, nibble, len))
+        });
+        let Some((opcode, prio_nibble, payload_len)) = framed else {
             // The stream cannot be resynchronized after a framing error:
             // answer malformed and drop the connection.
             metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut stream, status::MALFORMED, "bad magic or opcode");
-            return;
-        }
-        if matches!(opcode, OP_HEALTH | OP_METRICS | OP_TRACE_DUMP) {
+            let _ = write_error(&mut self.stream, status::MALFORMED, "bad magic or opcode");
+            return Err(Close::Quiet);
+        };
+        if matches!(
+            opcode,
+            OP_HEALTH | OP_METRICS | OP_TRACE_DUMP | OP_STREAM_CREDIT | OP_STREAM_CANCEL
+        ) {
+            if payload_len != 0 {
+                return self.malformed(payload_len, "opcode takes no payload");
+            }
+            if matches!(opcode, OP_STREAM_CREDIT | OP_STREAM_CANCEL) {
+                // Stream-control frames are only meaningful inside an open
+                // stream (consumed by [`Conn::serve_stream`]'s control
+                // reads). One landing here is the tail of an inherent race —
+                // a client replenishing credits just as the stream
+                // completed, or cancelling a stream that ended naturally —
+                // so it is silently ignored rather than rejected.
+                return Ok(());
+            }
             // Answered inline — a health probe or metrics scrape must work
             // even when every worker is wedged, so these never touch the
             // queue.
-            if payload_len != 0 {
-                metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                if drain(&mut stream, payload_len).is_err()
-                    || write_error(&mut stream, status::MALFORMED, "opcode takes no payload")
-                        .is_err()
-                {
-                    metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                continue;
-            }
             let payload = match opcode {
-                OP_METRICS => engine.metrics_text().into_bytes(),
+                OP_METRICS => self.engine.metrics_text().into_bytes(),
                 OP_TRACE_DUMP => obs::chrome::trace_json(&obs::drain()).into_bytes(),
-                _ => protocol::encode_health_payload(&engine.health()),
+                _ => protocol::encode_health_payload(&self.engine.health()),
             };
-            if faults::fire(&faults, FaultPoint::NetWrite)
-                || stream.write_all(&protocol::encode_message(status::OK, &payload)).is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
+            if faults::fire(&self.faults, FaultPoint::NetWrite) {
+                return Err(Close::Error);
             }
-            continue;
-        }
-        if matches!(opcode, OP_STREAM_CREDIT | OP_STREAM_CANCEL) {
-            // Stream-control frames are only meaningful inside an open
-            // stream (consumed by [`serve_stream`]'s control reads). One
-            // landing here is the tail of an inherent race — a client
-            // replenishing credits just as the stream completed, or
-            // cancelling a stream that ended naturally — so it is silently
-            // ignored rather than rejected.
-            if payload_len != 0 {
-                metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                if drain(&mut stream, payload_len).is_err()
-                    || write_error(&mut stream, status::MALFORMED, "opcode takes no payload")
-                        .is_err()
-                {
-                    metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            continue;
+            self.stream.write_all(&protocol::encode_message(status::OK, &payload))?;
+            return Ok(());
         }
         // Old clients leave the high nibble zero → Normal; nibbles beyond
         // the known classes are a caller bug, not a framing error, so the
         // connection stays usable.
         let Some(priority) = Priority::from_wire(prio_nibble) else {
-            metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-            if drain(&mut stream, payload_len).is_err()
-                || write_error(&mut stream, status::MALFORMED, "unknown priority class").is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+            return self.malformed(payload_len, "unknown priority class");
         };
-        if payload_len > engine.config().max_payload_bytes() {
+        if payload_len > self.engine.config().max_payload_bytes() {
             // Refuse to buffer the payload: drain it through a small
             // scratch (bounded memory regardless of the declared size),
             // reply OVERSIZED, and keep the connection usable.
             metrics.shed_oversized.fetch_add(1, Ordering::Relaxed);
-            if drain(&mut stream, payload_len).is_err()
-                || write_error(
-                    &mut stream,
-                    status::OVERSIZED,
-                    &format!("payload of {payload_len} bytes exceeds the server limit"),
-                )
-                .is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+            let reason = format!("payload of {payload_len} bytes exceeds the server limit");
+            return self.reject(payload_len, status::OVERSIZED, &reason);
         }
 
         // Reused per-connection read buffer: resized to each request,
-        // capacity retained across the connection's lifetime.
-        scratch.request.clear();
-        scratch.request.resize(payload_len, 0);
-        if stream.read_exact(&mut scratch.request).is_err() {
-            // Disconnect (or stall) mid-request.
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+        // capacity retained across the connection's lifetime. A failed
+        // read is a disconnect (or stall) mid-request.
+        self.scratch.request.clear();
+        self.scratch.request.resize(payload_len, 0);
+        self.stream.read_exact(&mut self.scratch.request)?;
 
         // Zero-downtime drain: while the engine is soft-draining, work
         // opcodes are answered GOAWAY (retryable — the client reconnects
         // elsewhere or retries after the maintenance window) instead of
         // queued. Health and metrics probes above stay answered inline so
         // orchestrators can watch the drain progress.
-        if engine.is_draining() {
+        if self.engine.is_draining() {
             metrics.goaway_sent.fetch_add(1, Ordering::Relaxed);
-            drain_tally.sent = true;
-            if write_error(&mut stream, status::GOAWAY, "server draining, reconnect later").is_err()
-            {
-                metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            continue;
+            self.sent_goaway = true;
+            return self.reject(0, status::GOAWAY, "server draining, reconnect later");
         }
 
-        if opcode == OP_STREAM {
-            match protocol::decode_stream_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    if write_error(&mut stream, status::MALFORMED, what).is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
+        let wire_deadline = |ms: u32| (ms > 0).then(|| Duration::from_millis(u64::from(ms)));
+        let engine = self.engine;
+        match opcode {
+            OP_STREAM => match protocol::decode_stream_request_payload(&self.scratch.request) {
+                // Framing was intact — the connection may continue.
+                Err(WireError(what)) => self.malformed(0, what),
                 Ok((cloud, config, deadline_ms, open)) => {
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    match serve_stream(
-                        &mut stream,
-                        engine,
-                        gate,
-                        &faults,
-                        cloud,
+                    self.serve_stream(cloud, config, priority, wire_deadline(deadline_ms), &open)
+                }
+            },
+            OP_INFER => {
+                let (cloud, wire_req, deadline_ms) =
+                    match protocol::decode_infer_request_payload(&self.scratch.request) {
+                        Ok(decoded) => decoded,
+                        Err(WireError(what)) => return self.malformed(0, what),
+                    };
+                // Resolve the notation against the server-side zoo; an
+                // unknown notation is a caller bug, not a framing error.
+                let Some(model) =
+                    ModelConfig::table1().into_iter().find(|m| m.notation == wire_req.notation)
+                else {
+                    let reason = format!("unknown model notation {:?}", wire_req.notation);
+                    return self.reject(0, status::INVALID, &reason);
+                };
+                // The decoder already rejected bytes past AGG_DELAYED, so
+                // the only remaining value is the server default.
+                let aggregation = match wire_req.aggregation {
+                    AGG_EAGER => Some(Aggregation::Eager),
+                    AGG_DELAYED => Some(Aggregation::Delayed),
+                    _ => None,
+                };
+                let req = InferRequest {
+                    model,
+                    seed: wire_req.seed,
+                    threshold: wire_req.threshold as usize,
+                    aggregation,
+                    priority,
+                    deadline: wire_deadline(deadline_ms),
+                };
+                let admitted = self.gate.admit(|| engine.submit_infer(Arc::new(cloud), req));
+                self.reply(admitted, priority, encode_infer_ok)
+            }
+            _ => {
+                let (cloud, config, deadline_ms, budget) =
+                    match protocol::decode_request_payload(&self.scratch.request) {
+                        Ok(decoded) => decoded,
+                        Err(WireError(what)) => return self.malformed(0, what),
+                    };
+                // Round-robin admission: the submission (queue push) takes
+                // its fairness turn; the wait for the response happens
+                // outside the gate so slow frames don't block other
+                // connections' admissions. A non-zero wire budget runs the
+                // truncated (prefix-identical) frame.
+                let admitted = self.gate.admit(|| {
+                    let deadline = wire_deadline(deadline_ms);
+                    engine.submit_shared_budget(
+                        Arc::new(cloud),
                         config,
+                        budget as usize,
                         priority,
                         deadline,
-                        &open,
-                        &mut scratch,
-                    ) {
-                        StreamExit::Continue => {}
-                        StreamExit::CloseQuiet => return,
-                        StreamExit::CloseError => {
-                            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
+                    )
+                });
+                self.reply(admitted, priority, encode_frame_ok)
             }
-            continue;
         }
+    }
 
-        let reply = if opcode == OP_INFER {
-            match protocol::decode_infer_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    let r = write_error(&mut stream, status::MALFORMED, what);
-                    if r.is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // Framing was intact — the connection may continue.
-                    continue;
-                }
-                Ok((cloud, wire_req, deadline_ms)) => {
-                    // Resolve the notation against the server-side zoo; an
-                    // unknown notation is a caller bug, not a framing error.
-                    let Some(model) =
-                        ModelConfig::table1().into_iter().find(|m| m.notation == wire_req.notation)
-                    else {
-                        let r = write_error(
-                            &mut stream,
-                            status::INVALID,
-                            &format!("unknown model notation {:?}", wire_req.notation),
-                        );
-                        if r.is_err() {
-                            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        continue;
-                    };
-                    // The decoder already rejected bytes past AGG_DELAYED,
-                    // so the only remaining value is the server default.
-                    let aggregation = match wire_req.aggregation {
-                        AGG_EAGER => Some(Aggregation::Eager),
-                        AGG_DELAYED => Some(Aggregation::Delayed),
-                        _ => None,
-                    };
-                    let req = InferRequest {
-                        model,
-                        seed: wire_req.seed,
-                        threshold: wire_req.threshold as usize,
-                        aggregation,
-                        priority,
-                        deadline: (deadline_ms > 0)
-                            .then(|| Duration::from_millis(u64::from(deadline_ms))),
-                    };
-                    let (trace_req, outcome) =
-                        match gate.admit(|| engine.submit_infer(Arc::new(cloud), req)) {
-                            Ok(ticket) => (ticket.request_id(), ticket.wait()),
-                            Err(e) => (0, Err(e)),
-                        };
-                    if faults::fire(&faults, FaultPoint::NetWrite) {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
-                    match outcome {
-                        Ok(resp) => write_infer_ok(&mut stream, &resp, &mut scratch),
-                        Err(e) => write_error(&mut stream, error_status(&e), &e.to_string()),
-                    }
-                }
-            }
-        } else {
-            match protocol::decode_request_payload(&scratch.request) {
-                Err(WireError(what)) => {
-                    metrics.net_malformed.fetch_add(1, Ordering::Relaxed);
-                    let r = write_error(&mut stream, status::MALFORMED, what);
-                    if r.is_err() {
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // Framing was intact — the connection may continue.
-                    continue;
-                }
-                Ok((cloud, config, deadline_ms, budget)) => {
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    // Round-robin admission: the submission (queue push) takes
-                    // its fairness turn; the wait for the response happens
-                    // outside the gate so slow frames don't block other
-                    // connections' admissions. A non-zero wire budget runs
-                    // the truncated (prefix-identical) frame.
-                    let (trace_req, outcome) = match gate.admit(|| {
-                        engine.submit_shared_budget(
-                            Arc::new(cloud),
-                            config,
-                            budget as usize,
-                            priority,
-                            deadline,
-                        )
-                    }) {
-                        Ok(ticket) => (ticket.request_id(), ticket.wait()),
-                        Err(e) => (0, Err(e)),
-                    };
-                    if faults::fire(&faults, FaultPoint::NetWrite) {
-                        // Injected write failure: the response is computed but
-                        // lost on the wire; the client sees the connection die.
-                        metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    let _trace = obs::scoped_context(trace_req, priority.index() as u8);
-                    match outcome {
-                        Ok(resp) => write_ok(&mut stream, &resp, &mut scratch),
-                        Err(e) => write_error(&mut stream, error_status(&e), &e.to_string()),
-                    }
-                }
-            }
+    /// Answers `code` with `message` once the request's `unread` payload
+    /// bytes are discarded; the connection stays usable.
+    fn reject(&mut self, unread: usize, code: u8, message: &str) -> Result<(), Close> {
+        drain(&mut self.stream, unread)?;
+        write_error(&mut self.stream, code, message)?;
+        Ok(())
+    }
+
+    /// Counts a malformed request and rejects it with
+    /// [`status::MALFORMED`]: its framing was intact, so the connection
+    /// survives.
+    fn malformed(&mut self, unread: usize, what: &str) -> Result<(), Close> {
+        self.engine.metrics_registry().net_malformed.fetch_add(1, Ordering::Relaxed);
+        self.reject(unread, status::MALFORMED, what)
+    }
+
+    /// Waits for an admitted job and passes the [`FaultPoint::NetWrite`]
+    /// point. A response comes back with its request id for the caller to
+    /// encode; an error is answered with its status here (`Ok(None)`).
+    fn settle<R: TicketResponse>(
+        &mut self,
+        admitted: Result<Ticket<R>, ServeError>,
+    ) -> Result<Option<(u64, R)>, Close> {
+        let (req, outcome) = match admitted {
+            Ok(ticket) => (ticket.request_id(), ticket.wait()),
+            Err(e) => (0, Err(e)),
         };
-        if reply.is_err() {
-            metrics.net_disconnects.fetch_add(1, Ordering::Relaxed);
-            return;
+        if faults::fire(&self.faults, FaultPoint::NetWrite) {
+            // Injected write failure: the response is computed but lost on
+            // the wire; the client sees the connection die.
+            return Err(Close::Error);
+        }
+        match outcome {
+            Ok(resp) => Ok(Some((req, resp))),
+            Err(e) => {
+                write_error(&mut self.stream, error_status(&e), &e.to_string())?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// The shared tail of PROCESS_FRAME and INFER: settle the admitted job,
+    /// then answer OK with `encode`'s payload inside the request's trace
+    /// context.
+    fn reply<R: TicketResponse>(
+        &mut self,
+        admitted: Result<Ticket<R>, ServeError>,
+        priority: Priority,
+        encode: fn(&R, &mut Vec<u8>),
+    ) -> Result<(), Close> {
+        if let Some((req, resp)) = self.settle(admitted)? {
+            let _trace = obs::scoped_context(req, priority.index() as u8);
+            self.write_payload(status::OK, |buf| encode(&resp, buf))?;
+        }
+        Ok(())
+    }
+
+    /// Encodes one reply through the connection's scratch buffers (inside a
+    /// `WireEncode` span) and writes it (inside a `WireWrite` span).
+    fn write_payload(&mut self, code: u8, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
+        let scratch = &mut self.scratch;
+        scratch.payload.clear();
+        encode(&mut scratch.payload);
+        scratch.message.clear();
+        protocol::encode_message_into(code, &scratch.payload, &mut scratch.message);
+        encode_span.done();
+        let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
+        self.stream.write_all(&scratch.message)
+    }
+
+    /// Drives one progressive-LOD stream: first paint at the requester's
+    /// priority, then credit-gated refinement chunks at [`Priority::Bulk`]
+    /// until the ordering is exhausted, the client cancels, or the peer
+    /// goes away. Every chunk is its own engine job, so a cancel takes
+    /// effect at chunk granularity — the engine-side `stream_chunks_sent`
+    /// counter stops advancing, which is how tests prove the server stopped
+    /// *working*, not just stopped talking. `Ok` means the stream ended
+    /// (completed, cancelled or refused) and the connection may serve
+    /// further requests.
+    fn serve_stream(
+        &mut self,
+        cloud: PointCloud,
+        config: PipelineConfig,
+        priority: Priority,
+        deadline: Option<Duration>,
+        open: &WireStreamOpen,
+    ) -> Result<(), Close> {
+        let metrics = self.engine.metrics_registry();
+        metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
+        // Every exit path balances the open/closed pair through this guard
+        // — `opened − closed` staying above zero with no client connected
+        // is the hung-stream signal CI greps for.
+        struct CloseGuard<'a>(&'a crate::metrics::Metrics);
+        impl Drop for CloseGuard<'_> {
+            fn drop(&mut self) {
+                self.0.streams_closed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let _close = CloseGuard(metrics);
+
+        let cfg = self.engine.config();
+        let pick = |wire: u32, default: usize| if wire == 0 { default } else { wire as usize };
+        let first_paint = pick(open.first_paint, cfg.stream_first_paint);
+        let chunk_size = pick(open.chunk, cfg.stream_chunk);
+        let mut credits = pick(open.credits, cfg.stream_credits);
+
+        // The stream's wall-clock deadline (explicit, or the server default)
+        // also bounds credit waits: a viewer that stops sending credits used
+        // to pin this handler in an unbounded blocking read, leaking the
+        // stream (`opened − closed` never rebalanced). Now the wait resolves
+        // DEADLINE_EXCEEDED at the deadline and the guard above closes the
+        // stream. With no deadline configured anywhere the wait stays
+        // unbounded by contract, but polls instead of blocking.
+        let wait_deadline = deadline
+            .or((cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms)))
+            .map(|d| std::time::Instant::now() + d);
+
+        let cloud = Arc::new(cloud);
+        let mut seq = 0u32;
+
+        // First paint: admitted at the requester's priority — it is the
+        // time-to-first-point the viewer sees — and never credit-gated.
+        let first = self.run_chunk(&cloud, config, 0, first_paint, priority, deadline, &mut seq)?;
+        let Some((mut depth, total)) = first else { return Ok(()) };
+
+        while depth < total {
+            // Consume queued control frames before each refinement — waiting
+            // (deadline-bounded) only when out of credits, so a cancel takes
+            // effect even while credits remain.
+            loop {
+                let verdict = if credits == 0 {
+                    self.wait_for_credit(wait_deadline)
+                } else {
+                    read_control(&mut self.stream)
+                };
+                match verdict {
+                    ControlRead::None if credits == 0 => {
+                        // Deadline expired while credit-starved: the stream
+                        // resolves instead of hanging the handler forever.
+                        let reason = "stream deadline expired waiting for credits";
+                        write_error(&mut self.stream, status::DEADLINE_EXCEEDED, reason)?;
+                        return Ok(());
+                    }
+                    ControlRead::None => break,
+                    ControlRead::Credit => credits += 1,
+                    ControlRead::Cancel => {
+                        metrics.streams_cancelled.fetch_add(1, Ordering::Relaxed);
+                        return self.finish_stream(seq, depth, true);
+                    }
+                    ControlRead::Eof => return Err(Close::Quiet),
+                    ControlRead::Bad => return Err(Close::Error),
+                }
+            }
+            credits -= 1;
+            let hi = (depth + chunk_size).min(total);
+            // Refinements ride the Bulk class: a viewer's deep tail must
+            // never displace another viewer's first paint.
+            let bulk = Priority::Bulk;
+            match self.run_chunk(&cloud, config, depth, hi, bulk, deadline, &mut seq)? {
+                Some((hi, _)) => depth = hi,
+                None => return Ok(()),
+            }
+        }
+        self.finish_stream(seq, depth, false)
+    }
+
+    /// Submits one chunk job through the fairness gate, waits for its
+    /// slice, and writes it as a [`status::CHUNK`] frame: `Some((hi,
+    /// total))` once delivered, `None` when the engine refused the chunk
+    /// (an error status was written and the stream is over, but the
+    /// connection survives).
+    #[allow(clippy::too_many_arguments)]
+    fn run_chunk(
+        &mut self,
+        cloud: &Arc<PointCloud>,
+        config: PipelineConfig,
+        lo: usize,
+        hi: usize,
+        priority: Priority,
+        deadline: Option<Duration>,
+        seq: &mut u32,
+    ) -> Result<Option<(usize, usize)>, Close> {
+        let engine = self.engine;
+        let admitted = self.gate.admit(|| {
+            engine.submit_stream_chunk(Arc::clone(cloud), config, lo, hi, priority, deadline)
+        });
+        let Some((_, resp)) = self.settle(admitted)? else { return Ok(None) };
+        *seq += 1;
+        let seq = *seq;
+        self.write_payload(status::CHUNK, |buf| encode_chunk(seq, &resp, buf))?;
+        Ok(Some((resp.slice.hi, resp.slice.total)))
+    }
+
+    /// Terminates a stream with its [`status::STREAM_END`] summary frame.
+    fn finish_stream(
+        &mut self,
+        chunks: u32,
+        delivered: usize,
+        cancelled: bool,
+    ) -> Result<(), Close> {
+        if faults::fire(&self.faults, FaultPoint::NetWrite) {
+            return Err(Close::Error);
+        }
+        let end = WireStreamEnd { chunks, delivered: delivered as u32, cancelled };
+        self.write_payload(status::STREAM_END, |buf| protocol::encode_stream_end_into(&end, buf))?;
+        Ok(())
+    }
+
+    /// Waits (deadline-bounded) for a stream-control frame while
+    /// credit-starved, polling non-blocking so the socket's idle timeout
+    /// never misfires as a transport error. Returns [`ControlRead::None`]
+    /// only when the deadline expires first. The [`FaultPoint::CreditStall`]
+    /// hook fires once per wait: an injected `delay` models a viewer that
+    /// stops sending credits for a while; an injected `err` drops the
+    /// control read as if the socket died.
+    fn wait_for_credit(&mut self, deadline: Option<std::time::Instant>) -> ControlRead {
+        if faults::fire(&self.faults, FaultPoint::CreditStall) {
+            return ControlRead::Bad;
+        }
+        loop {
+            match read_control(&mut self.stream) {
+                ControlRead::None => {}
+                verdict => return verdict,
+            }
+            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                return ControlRead::None;
+            }
+            std::thread::sleep(CREDIT_POLL);
         }
     }
 }
@@ -624,32 +765,9 @@ fn read_exact_or_eof(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<ReadO
     Ok(ReadOutcome::Full)
 }
 
-/// How [`serve_stream`] left the connection.
-enum StreamExit {
-    /// The stream ended (completed or cancelled); the connection may serve
-    /// further requests.
-    Continue,
-    /// The peer went away cleanly mid-stream (EOF on a control read) — a
-    /// viewer closing its tab, not an error.
-    CloseQuiet,
-    /// Transport or framing failure; the caller counts a disconnect.
-    CloseError,
-}
-
-/// Outcome of one chunk: submitted, executed, encoded, written.
-enum ChunkOutcome {
-    /// Chunk delivered; the stream advanced to depth `hi` of `total`.
-    Sent { hi: usize, total: usize },
-    /// The engine refused the chunk (shed/invalid); an error frame was
-    /// written and the stream is over, but the connection survives.
-    Refused,
-    /// The transport died (or a write fault fired).
-    Dead,
-}
-
 /// One stream-control read's verdict.
 enum ControlRead {
-    /// Nothing pending (non-blocking poll only).
+    /// Nothing pending.
     None,
     /// `OP_STREAM_CREDIT`: one more refinement chunk is welcome.
     Credit,
@@ -661,288 +779,42 @@ enum ControlRead {
     Bad,
 }
 
-/// Drives one progressive-LOD stream: first paint at the requester's
-/// priority, then credit-gated refinement chunks at [`Priority::Bulk`]
-/// until the ordering is exhausted, the client cancels, or the peer goes
-/// away. Every chunk is its own engine job, so a cancel takes effect at
-/// chunk granularity — the engine-side `stream_chunks_sent` counter stops
-/// advancing, which is how tests prove the server stopped *working*, not
-/// just stopped talking.
-#[allow(clippy::too_many_arguments)]
-fn serve_stream(
-    stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    gate: &FairGate,
-    faults: &Option<Arc<FaultLayer>>,
-    cloud: fractalcloud_pointcloud::PointCloud,
-    config: PipelineConfig,
-    priority: Priority,
-    deadline: Option<Duration>,
-    open: &WireStreamOpen,
-    scratch: &mut WireScratch,
-) -> StreamExit {
-    let metrics = engine.metrics_registry();
-    metrics.streams_opened.fetch_add(1, Ordering::Relaxed);
-    // Every exit path balances the open/closed pair through this guard —
-    // `opened − closed` staying above zero with no client connected is the
-    // hung-stream signal CI greps for.
-    struct CloseGuard<'a>(&'a crate::metrics::Metrics);
-    impl Drop for CloseGuard<'_> {
-        fn drop(&mut self) {
-            self.0.streams_closed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let _close = CloseGuard(metrics);
-
-    let cfg = engine.config();
-    let pick = |wire: u32, default: usize| if wire == 0 { default } else { wire as usize };
-    let first_paint = pick(open.first_paint, cfg.stream_first_paint);
-    let chunk_size = pick(open.chunk, cfg.stream_chunk);
-    let mut credits = pick(open.credits, cfg.stream_credits);
-
-    // The stream's wall-clock deadline (explicit, or the server default)
-    // also bounds credit waits: a viewer that stops sending credits used
-    // to pin this handler in an unbounded blocking read, leaking the
-    // stream (`opened − closed` never rebalanced). Now the wait resolves
-    // DEADLINE_EXCEEDED at the deadline and the guard above closes the
-    // stream. With no deadline configured anywhere the wait stays
-    // unbounded by contract, but polls instead of blocking.
-    let wait_deadline = deadline
-        .or((cfg.deadline_ms > 0).then(|| Duration::from_millis(cfg.deadline_ms)))
-        .map(|d| std::time::Instant::now() + d);
-
-    let cloud = Arc::new(cloud);
-    let mut seq = 0u32;
-
-    // First paint: admitted at the requester's priority — it is the
-    // time-to-first-point the viewer sees — and never credit-gated.
-    #[rustfmt::skip]
-    let first = run_chunk(
-        stream, engine, gate, faults, &cloud, config, 0, first_paint, priority, deadline,
-        &mut seq, scratch,
-    );
-    let (mut depth, total) = match first {
-        ChunkOutcome::Sent { hi, total } => (hi, total),
-        ChunkOutcome::Refused => return StreamExit::Continue,
-        ChunkOutcome::Dead => return StreamExit::CloseError,
-    };
-
-    while depth < total {
-        // Consume queued control frames before each refinement — waiting
-        // (deadline-bounded) only when out of credits, so a cancel takes
-        // effect even while credits remain.
-        loop {
-            let verdict = if credits == 0 {
-                wait_for_credit(stream, faults, wait_deadline)
-            } else {
-                read_control(stream, false)
-            };
-            match verdict {
-                ControlRead::None if credits == 0 => {
-                    // Deadline expired while credit-starved: the stream
-                    // resolves instead of hanging the handler forever.
-                    return if write_error(
-                        stream,
-                        status::DEADLINE_EXCEEDED,
-                        "stream deadline expired waiting for credits",
-                    )
-                    .is_err()
-                    {
-                        StreamExit::CloseError
-                    } else {
-                        StreamExit::Continue
-                    };
-                }
-                ControlRead::None => break,
-                ControlRead::Credit => credits += 1,
-                ControlRead::Cancel => {
-                    metrics.streams_cancelled.fetch_add(1, Ordering::Relaxed);
-                    return finish_stream(stream, faults, seq, depth, true, scratch);
-                }
-                ControlRead::Eof => return StreamExit::CloseQuiet,
-                ControlRead::Bad => return StreamExit::CloseError,
-            }
-        }
-        credits -= 1;
-        let hi = (depth + chunk_size).min(total);
-        // Refinements ride the Bulk class: a viewer's deep tail must never
-        // displace another viewer's first paint.
-        #[rustfmt::skip]
-        let next = run_chunk(
-            stream, engine, gate, faults, &cloud, config, depth, hi, Priority::Bulk, deadline,
-            &mut seq, scratch,
-        );
-        match next {
-            ChunkOutcome::Sent { hi, .. } => depth = hi,
-            ChunkOutcome::Refused => return StreamExit::Continue,
-            ChunkOutcome::Dead => return StreamExit::CloseError,
-        }
-    }
-    finish_stream(stream, faults, seq, depth, false, scratch)
-}
-
-/// Submits one chunk job through the fairness gate, waits for its slice,
-/// and writes it as a [`status::CHUNK`] frame through the connection's
-/// scratch buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    gate: &FairGate,
-    faults: &Option<Arc<FaultLayer>>,
-    cloud: &Arc<fractalcloud_pointcloud::PointCloud>,
-    config: PipelineConfig,
-    lo: usize,
-    hi: usize,
-    priority: Priority,
-    deadline: Option<Duration>,
-    seq: &mut u32,
-    scratch: &mut WireScratch,
-) -> ChunkOutcome {
-    let outcome = match gate
-        .admit(|| engine.submit_stream_chunk(Arc::clone(cloud), config, lo, hi, priority, deadline))
-    {
-        Ok(ticket) => ticket.wait(),
-        Err(e) => Err(e),
-    };
-    if faults::fire(faults, FaultPoint::NetWrite) {
-        return ChunkOutcome::Dead;
-    }
-    match outcome {
-        Ok(resp) => {
-            *seq += 1;
-            let slice = &resp.slice;
-            let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
-            let wire = WireStreamChunk {
-                seq: *seq,
-                lo: slice.lo as u32,
-                hi: slice.hi as u32,
-                total: slice.total as u32,
-                blocks: slice.blocks as u32,
-                num: slice.num as u32,
-                cache_hit: resp.cache_hit,
-                segments: slice
-                    .segments
-                    .iter()
-                    .map(|s| WireLodSegment {
-                        block: s.block as u32,
-                        sampled: s.sampled.iter().map(|&i| i as u32).collect(),
-                        grouped: s.grouped.iter().map(|&i| i as u32).collect(),
-                        found: s.found.iter().map(|&i| i as u32).collect(),
-                    })
-                    .collect(),
-            };
-            scratch.payload.clear();
-            protocol::encode_stream_chunk_into(&wire, &mut scratch.payload);
-            scratch.message.clear();
-            protocol::encode_message_into(status::CHUNK, &scratch.payload, &mut scratch.message);
-            encode_span.done();
-            let write_span = obs::span(obs::SpanKind::WireWrite, 0);
-            let w = stream.write_all(&scratch.message);
-            write_span.done();
-            if w.is_err() {
-                return ChunkOutcome::Dead;
-            }
-            ChunkOutcome::Sent { hi: slice.hi, total: slice.total }
-        }
-        Err(e) => {
-            if write_error(stream, error_status(&e), &e.to_string()).is_err() {
-                ChunkOutcome::Dead
-            } else {
-                ChunkOutcome::Refused
-            }
-        }
-    }
-}
-
-/// Terminates a stream with its [`status::STREAM_END`] summary frame.
-fn finish_stream(
-    stream: &mut TcpStream,
-    faults: &Option<Arc<FaultLayer>>,
-    chunks: u32,
-    delivered: usize,
-    cancelled: bool,
-    scratch: &mut WireScratch,
-) -> StreamExit {
-    let end = WireStreamEnd { chunks, delivered: delivered as u32, cancelled };
-    scratch.payload.clear();
-    protocol::encode_stream_end_into(&end, &mut scratch.payload);
-    scratch.message.clear();
-    protocol::encode_message_into(status::STREAM_END, &scratch.payload, &mut scratch.message);
-    if faults::fire(faults, FaultPoint::NetWrite) || stream.write_all(&scratch.message).is_err() {
-        StreamExit::CloseError
-    } else {
-        StreamExit::Continue
-    }
-}
-
 /// How often the credit-starved wait polls for a control frame.
 const CREDIT_POLL: Duration = Duration::from_millis(2);
 
-/// Waits (deadline-bounded) for a stream-control frame while
-/// credit-starved, polling non-blocking so the socket's idle timeout never
-/// misfires as a transport error. Returns [`ControlRead::None`] only when
-/// the deadline expires first. The [`FaultPoint::CreditStall`] hook fires
-/// once per wait: an injected `delay` models a viewer that stops sending
-/// credits for a while; an injected `err` drops the control read as if the
-/// socket died.
-fn wait_for_credit(
-    stream: &mut TcpStream,
-    faults: &Option<Arc<FaultLayer>>,
-    deadline: Option<std::time::Instant>,
-) -> ControlRead {
-    if faults::fire(faults, FaultPoint::CreditStall) {
+/// Reads one stream-control frame (header-only by contract) if a complete
+/// one is pending. It *peeks* first and only consumes a complete 9-byte
+/// header, so a partially arrived frame is left queued intact for the next
+/// poll.
+fn read_control(stream: &mut TcpStream) -> ControlRead {
+    let mut header = [0u8; 9];
+    if stream.set_nonblocking(true).is_err() {
         return ControlRead::Bad;
     }
-    loop {
-        match read_control(stream, false) {
-            ControlRead::None => {}
-            verdict => return verdict,
-        }
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            return ControlRead::None;
-        }
-        std::thread::sleep(CREDIT_POLL);
+    let peeked = stream.peek(&mut header);
+    if stream.set_nonblocking(false).is_err() {
+        return ControlRead::Bad;
     }
-}
-
-/// Reads one stream-control frame (header-only by contract). Non-blocking
-/// mode *peeks* first and only consumes a complete 9-byte header, so a
-/// partially arrived frame is left queued intact for the next poll.
-fn read_control(stream: &mut TcpStream, blocking: bool) -> ControlRead {
-    let mut header = [0u8; 9];
-    if !blocking {
-        if stream.set_nonblocking(true).is_err() {
-            return ControlRead::Bad;
-        }
-        let peeked = stream.peek(&mut header);
-        if stream.set_nonblocking(false).is_err() {
-            return ControlRead::Bad;
-        }
-        match peeked {
-            Ok(0) => return ControlRead::Eof,
-            Ok(n) if n < header.len() => return ControlRead::None,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ControlRead::None,
-            Err(_) => return ControlRead::Bad,
-        }
+    match peeked {
+        Ok(0) => return ControlRead::Eof,
+        Ok(n) if n < header.len() => return ControlRead::None,
+        Ok(_) => {}
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ControlRead::None,
+        Err(_) => return ControlRead::Bad,
     }
     match read_exact_or_eof(stream, &mut header) {
         Ok(ReadOutcome::Eof) => return ControlRead::Eof,
         Ok(ReadOutcome::Full) => {}
         Err(_) => return ControlRead::Bad,
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let (opcode, _nibble) = protocol::split_kind(header[4]);
-    let payload_len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
-    if magic != MAGIC || payload_len != 0 {
-        return ControlRead::Bad;
-    }
-    match opcode {
-        OP_STREAM_CREDIT => ControlRead::Credit,
-        OP_STREAM_CANCEL => ControlRead::Cancel,
-        // Any other frame mid-stream is a pipelining violation the framing
-        // cannot recover from.
+    match protocol::decode_header(&header) {
+        Ok((kind, 0)) => match protocol::split_kind(kind).0 {
+            OP_STREAM_CREDIT => ControlRead::Credit,
+            OP_STREAM_CANCEL => ControlRead::Cancel,
+            // Any other frame mid-stream is a pipelining violation the
+            // framing cannot recover from.
+            _ => ControlRead::Bad,
+        },
         _ => ControlRead::Bad,
     }
 }
@@ -958,12 +830,8 @@ fn error_status(e: &ServeError) -> u8 {
     }
 }
 
-fn write_ok(
-    stream: &mut TcpStream,
-    resp: &FrameResponse,
-    scratch: &mut WireScratch,
-) -> io::Result<()> {
-    let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
+/// Encodes a frame response's wire form.
+fn encode_frame_ok(resp: &FrameResponse, buf: &mut Vec<u8>) {
     let wire = WireResponse {
         sampled_indices: resp.sampled_indices.iter().map(|&i| i as u32).collect(),
         neighbor_indices: resp.neighbor_indices.iter().map(|&i| i as u32).collect(),
@@ -975,21 +843,11 @@ fn write_ok(
         degraded: resp.degraded,
         budget_served: resp.budget_served as u32,
     };
-    scratch.payload.clear();
-    protocol::encode_response_payload_into(&wire, &mut scratch.payload);
-    scratch.message.clear();
-    protocol::encode_message_into(status::OK, &scratch.payload, &mut scratch.message);
-    encode_span.done();
-    let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
-    stream.write_all(&scratch.message)
+    protocol::encode_response_payload_into(&wire, buf);
 }
 
-fn write_infer_ok(
-    stream: &mut TcpStream,
-    resp: &InferResponse,
-    scratch: &mut WireScratch,
-) -> io::Result<()> {
-    let encode_span = obs::span(obs::SpanKind::WireEncode, 0);
+/// Encodes an inference response's wire form.
+fn encode_infer_ok(resp: &InferResponse, buf: &mut Vec<u8>) {
     let wire = WireInferResponse {
         classes: resp.output.classes as u32,
         cache_hit: resp.cache_hit,
@@ -1003,13 +861,32 @@ fn write_infer_ok(
         // bit-identical to the in-process one.
         logits: resp.output.logits.clone(),
     };
-    scratch.payload.clear();
-    protocol::encode_infer_response_payload_into(&wire, &mut scratch.payload);
-    scratch.message.clear();
-    protocol::encode_message_into(status::OK, &scratch.payload, &mut scratch.message);
-    encode_span.done();
-    let _write_span = obs::span(obs::SpanKind::WireWrite, 0);
-    stream.write_all(&scratch.message)
+    protocol::encode_infer_response_payload_into(&wire, buf);
+}
+
+/// Encodes chunk number `seq` of a stream.
+fn encode_chunk(seq: u32, resp: &StreamChunkResponse, buf: &mut Vec<u8>) {
+    let slice = &resp.slice;
+    let wire = WireStreamChunk {
+        seq,
+        lo: slice.lo as u32,
+        hi: slice.hi as u32,
+        total: slice.total as u32,
+        blocks: slice.blocks as u32,
+        num: slice.num as u32,
+        cache_hit: resp.cache_hit,
+        segments: slice
+            .segments
+            .iter()
+            .map(|s| WireLodSegment {
+                block: s.block as u32,
+                sampled: s.sampled.iter().map(|&i| i as u32).collect(),
+                grouped: s.grouped.iter().map(|&i| i as u32).collect(),
+                found: s.found.iter().map(|&i| i as u32).collect(),
+            })
+            .collect(),
+    };
+    protocol::encode_stream_chunk_into(&wire, buf);
 }
 
 fn write_error(stream: &mut TcpStream, code: u8, message: &str) -> io::Result<()> {
@@ -1033,6 +910,11 @@ pub enum ClientError {
 }
 
 impl ClientError {
+    /// The error a non-OK reply carries: its status and UTF-8 reason.
+    fn status(code: u8, payload: &[u8]) -> ClientError {
+        ClientError::Server { code, message: String::from_utf8_lossy(payload).into_owned() }
+    }
+
     /// True when the server shed the request (retryable by contract;
     /// includes [`status::DEADLINE_EXCEEDED`] — retry with a fresh
     /// deadline — and [`status::GOAWAY`] — reconnect first, the server is
@@ -1081,6 +963,23 @@ pub enum StreamEvent {
     Chunk(WireStreamChunk),
     /// The terminating summary ([`status::STREAM_END`]).
     End(WireStreamEnd),
+}
+
+/// The per-request parameters of a PROCESS_FRAME call
+/// ([`ServeClient::process`]). The default is a [`Priority::Normal`]
+/// full-depth request under the server's default deadline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameOptions {
+    /// Queue class, carried in the request kind byte's high nibble.
+    pub priority: Priority,
+    /// Per-request deadline in milliseconds (0 = the server's default). A
+    /// non-zero deadline rides the optional payload trailer.
+    pub deadline_ms: u32,
+    /// Sample budget: a non-zero `budget` asks for only the first `budget`
+    /// samples of the frame's coarse-to-fine quality ordering —
+    /// byte-identical to the prefix of the full response, at
+    /// proportionally lower cost (0 = full depth).
+    pub budget: u32,
 }
 
 /// Seeded, deterministic retry schedule for a self-healing client:
@@ -1215,6 +1114,22 @@ impl ServeClient {
         Ok(())
     }
 
+    /// Writes one request message.
+    fn send(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
+        self.stream.write_all(&protocol::encode_message(kind, payload))?;
+        Ok(())
+    }
+
+    /// One request/response exchange: sends the request, reads the reply,
+    /// and returns its payload when the status is OK.
+    fn call(&mut self, kind: u8, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
+        self.send(kind, payload)?;
+        match self.read_reply()? {
+            (status::OK, payload) => Ok(payload),
+            (code, payload) => Err(ClientError::status(code, &payload)),
+        }
+    }
+
     /// Requests the server's [`EngineHealth`] snapshot ([`OP_HEALTH`]).
     ///
     /// # Errors
@@ -1222,15 +1137,7 @@ impl ServeClient {
     /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
     /// framing failures; [`ClientError::Server`] for non-OK statuses.
     pub fn health(&mut self) -> Result<EngineHealth, ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_HEALTH, &[]))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_health_payload(&payload).map_err(ClientError::Protocol)
+        protocol::decode_health_payload(&self.call(OP_HEALTH, &[])?).map_err(ClientError::Protocol)
     }
 
     /// Requests the server's Prometheus-style metrics exposition
@@ -1256,101 +1163,55 @@ impl ServeClient {
     }
 
     fn text_request(&mut self, opcode: u8) -> Result<String, ClientError> {
-        self.stream.write_all(&protocol::encode_message(opcode, &[]))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        String::from_utf8(payload)
+        String::from_utf8(self.call(opcode, &[])?)
             .map_err(|_| ClientError::Protocol(WireError("response body is not UTF-8")))
     }
 
-    /// Sends one [`Priority::Normal`] frame and blocks for its result.
+    /// Sends one frame ([`OP_PROCESS_FRAME`]) with the per-request
+    /// parameters in `options` and blocks for its result.
     ///
     /// # Errors
     ///
-    /// As [`ServeClient::process_with_priority`].
-    pub fn process(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-    ) -> Result<WireResponse, ClientError> {
-        self.process_with_priority(cloud, config, Priority::Normal)
-    }
-
-    /// Sends one frame at the given [`Priority`] (encoded in the kind
-    /// byte's high nibble) and blocks for its result.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] for shed/rejected requests,
+    /// [`ClientError::Server`] for shed/rejected requests (an expired
+    /// deadline comes back as the retryable [`status::DEADLINE_EXCEEDED`]),
     /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
     /// framing failures.
-    pub fn process_with_priority(
+    pub fn process(
         &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
+        cloud: &PointCloud,
+        config: &PipelineConfig,
+        options: &FrameOptions,
     ) -> Result<WireResponse, ClientError> {
-        self.process_with_options(cloud, config, priority, 0)
+        let payload =
+            protocol::encode_request_payload(cloud, config, options.deadline_ms, options.budget);
+        let reply = self.call(protocol::request_kind(options.priority), &payload)?;
+        protocol::decode_response_payload(&reply).map_err(ClientError::Protocol)
     }
 
-    /// [`ServeClient::process_with_priority`] with a per-request deadline
-    /// in milliseconds (0 = use the server's default). A non-zero deadline
-    /// rides the optional payload trailer; an expired request comes back as
-    /// the retryable [`status::DEADLINE_EXCEEDED`].
+    /// [`ServeClient::process`] wrapped in the self-healing retry loop: shed
+    /// statuses (including [`status::GOAWAY`]) and transport failures are
+    /// retried on `policy`'s backoff schedule — reconnecting and replaying
+    /// the request when the connection died or the server said go away —
+    /// and never past the request's own deadline. Non-retryable rejections
+    /// ([`status::INVALID`], [`status::MALFORMED`],
+    /// [`status::INTERNAL_ERROR`]) surface immediately.
     ///
     /// # Errors
     ///
-    /// As [`ServeClient::process_with_priority`].
-    pub fn process_with_options(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
-        deadline_ms: u32,
-    ) -> Result<WireResponse, ClientError> {
-        let payload = protocol::encode_request_payload_deadline(cloud, config, deadline_ms);
-        self.stream
-            .write_all(&protocol::encode_message(protocol::request_kind(priority), &payload))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_response_payload(&payload).map_err(ClientError::Protocol)
-    }
-
-    /// [`ServeClient::process_with_options`] wrapped in the self-healing
-    /// retry loop: shed statuses (including [`status::GOAWAY`]) and
-    /// transport failures are retried on `policy`'s backoff schedule —
-    /// reconnecting and replaying the request when the connection died or
-    /// the server said go away — and never past the request's own
-    /// deadline. Non-retryable rejections ([`status::INVALID`],
-    /// [`status::MALFORMED`], [`status::INTERNAL_ERROR`]) surface
-    /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, as [`ServeClient::process_with_options`].
+    /// The final attempt's error, as [`ServeClient::process`].
     pub fn process_retry(
         &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
-        deadline_ms: u32,
+        cloud: &PointCloud,
+        config: &PipelineConfig,
+        options: &FrameOptions,
         policy: &mut RetryPolicy,
     ) -> Result<WireResponse, ClientError> {
-        let deadline = (deadline_ms > 0)
-            .then(|| std::time::Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+        let deadline = (options.deadline_ms > 0).then(|| {
+            std::time::Instant::now() + Duration::from_millis(u64::from(options.deadline_ms))
+        });
         let mut attempt = 0u32;
         loop {
-            let err = match self.process_with_options(cloud, config, priority, deadline_ms) {
+            let err = match self.process(cloud, config, options) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => e,
             };
@@ -1376,36 +1237,6 @@ impl ServeClient {
         }
     }
 
-    /// [`ServeClient::process_with_options`] with a sample budget: a
-    /// non-zero `budget` asks the server to answer with only the first
-    /// `budget` samples of the frame's coarse-to-fine quality ordering —
-    /// byte-identical to the prefix of the full response, at
-    /// proportionally lower cost (0 = full depth).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeClient::process_with_priority`].
-    pub fn process_budget(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
-        priority: Priority,
-        deadline_ms: u32,
-        budget: u32,
-    ) -> Result<WireResponse, ClientError> {
-        let payload = protocol::encode_request_payload_budget(cloud, config, deadline_ms, budget);
-        self.stream
-            .write_all(&protocol::encode_message(protocol::request_kind(priority), &payload))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_response_payload(&payload).map_err(ClientError::Protocol)
-    }
-
     /// Opens a progressive-LOD stream ([`OP_STREAM`]) for one frame. The
     /// server answers with a first-paint [`StreamEvent::Chunk`] at this
     /// request's priority, then refinement chunks (server-side
@@ -1420,18 +1251,14 @@ impl ServeClient {
     /// [`ClientError::Io`] for transport failures.
     pub fn stream_open(
         &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
+        cloud: &PointCloud,
+        config: &PipelineConfig,
         priority: Priority,
         deadline_ms: u32,
         open: &WireStreamOpen,
     ) -> Result<(), ClientError> {
         let payload = protocol::encode_stream_request_payload(cloud, config, deadline_ms, open);
-        self.stream.write_all(&protocol::encode_message(
-            protocol::stream_request_kind(priority),
-            &payload,
-        ))?;
-        Ok(())
+        self.send(protocol::stream_request_kind(priority), &payload)
     }
 
     /// Reads the next frame of the open stream.
@@ -1450,10 +1277,7 @@ impl ServeClient {
             status::STREAM_END => protocol::decode_stream_end_payload(&payload)
                 .map(StreamEvent::End)
                 .map_err(ClientError::Protocol),
-            code => Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            }),
+            code => Err(ClientError::status(code, &payload)),
         }
     }
 
@@ -1463,8 +1287,7 @@ impl ServeClient {
     ///
     /// [`ClientError::Io`] for transport failures.
     pub fn stream_credit(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_STREAM_CREDIT, &[]))?;
-        Ok(())
+        self.send(OP_STREAM_CREDIT, &[])
     }
 
     /// Asks the server to stop refining the open stream
@@ -1478,8 +1301,7 @@ impl ServeClient {
     ///
     /// [`ClientError::Io`] for transport failures.
     pub fn cancel(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&protocol::encode_message(OP_STREAM_CANCEL, &[]))?;
-        Ok(())
+        self.send(OP_STREAM_CANCEL, &[])
     }
 
     /// Drives one frame's stream to completion: opens it, folds every
@@ -1495,8 +1317,8 @@ impl ServeClient {
     /// geometry-inconsistent.
     pub fn stream_frame(
         &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        config: &fractalcloud_core::PipelineConfig,
+        cloud: &PointCloud,
+        config: &PipelineConfig,
         priority: Priority,
         deadline_ms: u32,
         open: &WireStreamOpen,
@@ -1517,23 +1339,9 @@ impl ServeClient {
     }
 
     /// Sends one [`Priority::Normal`] inference request ([`OP_INFER`]) and
-    /// blocks for its logits.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeClient::infer_with_options`].
-    pub fn infer(
-        &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
-        req: &WireInferRequest,
-    ) -> Result<WireInferResponse, ClientError> {
-        self.infer_with_options(cloud, req, Priority::Normal, 0)
-    }
-
-    /// Sends one inference request at the given [`Priority`] with an
-    /// optional deadline in milliseconds (0 = server default). The reply's
-    /// logits are bit-identical to what [`Engine::submit_infer`] returns
-    /// in-process for the same cloud, model, seed, and schedule.
+    /// blocks for its logits — bit-identical to what
+    /// [`Engine::submit_infer`] returns in-process for the same cloud,
+    /// model, seed, and schedule.
     ///
     /// # Errors
     ///
@@ -1541,38 +1349,22 @@ impl ServeClient {
     /// notation comes back as [`status::INVALID`]),
     /// [`ClientError::Io`]/[`ClientError::Protocol`] for transport and
     /// framing failures.
-    pub fn infer_with_options(
+    pub fn infer(
         &mut self,
-        cloud: &fractalcloud_pointcloud::PointCloud,
+        cloud: &PointCloud,
         req: &WireInferRequest,
-        priority: Priority,
-        deadline_ms: u32,
     ) -> Result<WireInferResponse, ClientError> {
-        let payload = protocol::encode_infer_request_payload(cloud, req, deadline_ms);
-        self.stream.write_all(&protocol::encode_message(
-            protocol::infer_request_kind(priority),
-            &payload,
-        ))?;
-        let (code, payload) = self.read_reply()?;
-        if code != status::OK {
-            return Err(ClientError::Server {
-                code,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            });
-        }
-        protocol::decode_infer_response_payload(&payload).map_err(ClientError::Protocol)
+        let payload = protocol::encode_infer_request_payload(cloud, req, 0);
+        let reply = self.call(protocol::infer_request_kind(Priority::Normal), &payload)?;
+        protocol::decode_infer_response_payload(&reply).map_err(ClientError::Protocol)
     }
 
     /// Reads one response frame: `(status, payload)`.
     fn read_reply(&mut self) -> Result<(u8, Vec<u8>), ClientError> {
         let mut header = [0u8; 9];
         self.stream.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        if magic != MAGIC {
-            return Err(ClientError::Protocol(WireError("bad response magic")));
-        }
-        let code = header[4];
-        let payload_len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
+        let (code, payload_len) =
+            protocol::decode_header(&header).map_err(ClientError::Protocol)?;
         if payload_len > protocol::MAX_RESPONSE_PAYLOAD {
             // A declared length this large means a corrupt/hostile stream;
             // refuse before allocating (the connection is desynced anyway).

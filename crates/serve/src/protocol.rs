@@ -281,6 +281,42 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
+    /// An optional trailing `u32`: `None` at the end of the payload, the
+    /// value when at least one more byte is present (a partial field is
+    /// `what`, never silently ignored).
+    fn trailing_u32(&mut self, what: &'static str) -> Result<Option<u32>, WireError> {
+        if self.remaining() == 0 {
+            return Ok(None);
+        }
+        self.u32(what).map(Some)
+    }
+
+    /// `n` consecutive `u32`s; `what` when fewer than `n` remain (checked
+    /// before anything is allocated).
+    fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, WireError> {
+        if n > self.remaining() / 4 {
+            return Err(WireError(what));
+        }
+        let bytes = self.take(n * 4, what)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    /// A point count followed by that many `x y z` `f32` triplets.
+    fn points(&mut self) -> Result<PointCloud, WireError> {
+        let n = self.u32("truncated point count")? as usize;
+        let coords = self.take(
+            n.checked_mul(12).ok_or(WireError("point count overflow"))?,
+            "truncated coordinates",
+        )?;
+        let xyz = |c: &[u8], i: usize| f32::from_le_bytes(c[i..i + 4].try_into().expect("4 bytes"));
+        Ok(PointCloud::from_points(
+            coords.chunks_exact(12).map(|c| Point3::new(xyz(c, 0), xyz(c, 4), xyz(c, 8))).collect(),
+        ))
+    }
+
     /// Bytes left to read — the bound any wire-declared element count must
     /// respect *before* its buffer is allocated.
     fn remaining(&self) -> usize {
@@ -300,49 +336,46 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Each value of `vs`, in order.
+fn put_u32s(buf: &mut Vec<u8>, vs: &[u32]) {
+    for &v in vs {
+        put_u32(buf, v);
+    }
+}
+
+/// The point count followed by each point's `x y z` triplet.
+fn put_points(buf: &mut Vec<u8>, cloud: &PointCloud) {
+    put_u32(buf, cloud.len() as u32);
+    for i in 0..cloud.len() {
+        let p = cloud.point(i);
+        for v in [p.x, p.y, p.z] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
 /// Encodes a process-frame request payload (the part after the 9-byte
-/// header) with no wire deadline — byte-identical to what pre-deadline
-/// clients send.
-pub fn encode_request_payload(cloud: &PointCloud, config: &PipelineConfig) -> Vec<u8> {
-    encode_request_payload_deadline(cloud, config, 0)
-}
-
-/// [`encode_request_payload`] with a per-request deadline in milliseconds.
-/// A non-zero deadline rides as the optional trailing `deadline_ms:u32`;
-/// zero ("use the server default") omits the field entirely, so unbounded
-/// requests stay parseable by pre-deadline servers.
-pub fn encode_request_payload_deadline(
-    cloud: &PointCloud,
-    config: &PipelineConfig,
-    deadline_ms: u32,
-) -> Vec<u8> {
-    encode_request_payload_budget(cloud, config, deadline_ms, 0)
-}
-
-/// [`encode_request_payload_deadline`] with an explicit sample budget: the
-/// server runs the pipeline at `n_samples = budget` (the first `budget`
-/// ranks of the frame's coarse-to-fine ordering) instead of the full
-/// `sample_rate` allocation. Zero means "full budget" and omits the field;
-/// a non-zero budget forces the deadline field so the trailer stays
-/// positionally unambiguous (`[deadline_ms [budget]]`).
-pub fn encode_request_payload_budget(
+/// header).
+///
+/// `deadline_ms` (0 = use the server's default) and `budget` (0 = full
+/// depth: the server runs the pipeline at `n_samples = budget`, the first
+/// `budget` ranks of the frame's coarse-to-fine ordering) ride the optional
+/// trailer `[deadline_ms [budget]]`. Zero fields are omitted, so a request
+/// with neither is byte-identical to what pre-deadline clients send; a
+/// non-zero budget forces the deadline field so positions stay unambiguous.
+pub fn encode_request_payload(
     cloud: &PointCloud,
     config: &PipelineConfig,
     deadline_ms: u32,
     budget: u32,
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(REQUEST_FIXED_BYTES + cloud.len() * 12 + 8);
+    let mut buf =
+        Vec::with_capacity(REQUEST_FIXED_BYTES + cloud.len() * 12 + REQUEST_TRAILER_MAX_BYTES);
     put_u32(&mut buf, config.threshold as u32);
     buf.extend_from_slice(&config.sample_rate.to_le_bytes());
     buf.extend_from_slice(&config.radius.to_le_bytes());
     put_u32(&mut buf, config.neighbors as u32);
-    put_u32(&mut buf, cloud.len() as u32);
-    for i in 0..cloud.len() {
-        let p = cloud.point(i);
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        buf.extend_from_slice(&p.z.to_le_bytes());
-    }
+    put_points(&mut buf, cloud);
     if deadline_ms > 0 || budget > 0 {
         put_u32(&mut buf, deadline_ms);
     }
@@ -367,8 +400,8 @@ pub fn decode_request_payload(
     let mut r = Reader { buf: payload, at: 0 };
     let (cloud, config) = decode_frame_prefix(&mut r)?;
     // Optional trailer: nothing, `deadline_ms`, or `deadline_ms budget`.
-    let deadline_ms = if r.remaining() > 0 { r.u32("truncated deadline")? } else { 0 };
-    let budget = if r.remaining() > 0 { r.u32("truncated budget")? } else { 0 };
+    let deadline_ms = r.trailing_u32("truncated deadline")?.unwrap_or(0);
+    let budget = r.trailing_u32("truncated budget")?.unwrap_or(0);
     r.done()?;
     Ok((cloud, config, deadline_ms, budget))
 }
@@ -381,23 +414,8 @@ fn decode_frame_prefix(r: &mut Reader<'_>) -> Result<(PointCloud, PipelineConfig
     let sample_rate = r.f64("truncated sample_rate")?;
     let radius = r.f32("truncated radius")?;
     let neighbors = r.u32("truncated neighbors")? as usize;
-    let n = r.u32("truncated point count")? as usize;
-    let coords = r.take(
-        n.checked_mul(12).ok_or(WireError("point count overflow"))?,
-        "truncated coordinates",
-    )?;
-    let mut points = Vec::with_capacity(n);
-    for c in coords.chunks_exact(12) {
-        points.push(Point3::new(
-            f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-        ));
-    }
-    Ok((
-        PointCloud::from_points(points),
-        PipelineConfig::new(threshold, sample_rate, radius, neighbors),
-    ))
+    let cloud = r.points()?;
+    Ok((cloud, PipelineConfig::new(threshold, sample_rate, radius, neighbors)))
 }
 
 /// The streaming knobs that ride an [`OP_STREAM`] request after the frame.
@@ -421,7 +439,7 @@ pub fn encode_stream_request_payload(
     deadline_ms: u32,
     open: &WireStreamOpen,
 ) -> Vec<u8> {
-    let mut buf = encode_request_payload(cloud, config);
+    let mut buf = encode_request_payload(cloud, config, 0, 0);
     put_u32(&mut buf, deadline_ms);
     put_u32(&mut buf, open.first_paint);
     put_u32(&mut buf, open.chunk);
@@ -487,13 +505,7 @@ pub fn encode_infer_request_payload(
     buf.push(req.aggregation);
     put_u32(&mut buf, req.notation.len() as u32);
     buf.extend_from_slice(req.notation.as_bytes());
-    put_u32(&mut buf, cloud.len() as u32);
-    for i in 0..cloud.len() {
-        let p = cloud.point(i);
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        buf.extend_from_slice(&p.z.to_le_bytes());
-    }
+    put_points(&mut buf, cloud);
     if deadline_ms > 0 {
         put_u32(&mut buf, deadline_ms);
     }
@@ -525,26 +537,10 @@ pub fn decode_infer_request_payload(
     let notation = std::str::from_utf8(r.take(notation_len, "truncated notation")?)
         .map_err(|_| WireError("notation is not UTF-8"))?
         .to_owned();
-    let n = r.u32("truncated point count")? as usize;
-    let coords = r.take(
-        n.checked_mul(12).ok_or(WireError("point count overflow"))?,
-        "truncated coordinates",
-    )?;
-    let deadline_ms = if r.remaining() > 0 { r.u32("truncated deadline")? } else { 0 };
+    let cloud = r.points()?;
+    let deadline_ms = r.trailing_u32("truncated deadline")?.unwrap_or(0);
     r.done()?;
-    let mut points = Vec::with_capacity(n);
-    for c in coords.chunks_exact(12) {
-        points.push(Point3::new(
-            f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-            f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-        ));
-    }
-    Ok((
-        PointCloud::from_points(points),
-        WireInferRequest { threshold, seed, aggregation, notation },
-        deadline_ms,
-    ))
+    Ok((cloud, WireInferRequest { threshold, seed, aggregation, notation }, deadline_ms))
 }
 
 /// The inference results that cross the wire (the in-process
@@ -574,16 +570,8 @@ pub struct WireInferResponse {
     pub logits: Vec<f32>,
 }
 
-/// Encodes an OK [`OP_INFER`] response payload.
-pub fn encode_infer_response_payload(resp: &WireInferResponse) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(4 + 1 + 4 + 1 + 24 + 4 + 4 * (resp.row_index.len() + resp.logits.len()));
-    encode_infer_response_payload_into(resp, &mut buf);
-    buf
-}
-
-/// [`encode_infer_response_payload`] appending into a caller-provided
-/// buffer (the wire path's per-connection scratch form).
+/// Encodes an OK [`OP_INFER`] response payload, appending into a
+/// caller-provided buffer (the wire path's per-connection scratch form).
 pub fn encode_infer_response_payload_into(resp: &WireInferResponse, buf: &mut Vec<u8>) {
     put_u32(buf, resp.classes);
     buf.push(u8::from(resp.cache_hit));
@@ -593,9 +581,7 @@ pub fn encode_infer_response_payload_into(resp: &WireInferResponse, buf: &mut Ve
     buf.extend_from_slice(&resp.macs_saved.to_le_bytes());
     buf.extend_from_slice(&resp.gather_bytes.to_le_bytes());
     put_u32(buf, resp.row_index.len() as u32);
-    for &v in &resp.row_index {
-        put_u32(buf, v);
-    }
+    put_u32s(buf, &resp.row_index);
     for &v in &resp.logits {
         buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -626,10 +612,7 @@ pub fn decode_infer_response_payload(payload: &[u8]) -> Result<WireInferResponse
     if rows.checked_add(cells).ok_or(WireError("logit count overflow"))? > r.remaining() / 4 {
         return Err(WireError("row counts exceed payload"));
     }
-    let mut row_index = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        row_index.push(r.u32("truncated row index")?);
-    }
+    let row_index = r.u32s(rows, "truncated row index")?;
     let mut logits = Vec::with_capacity(cells);
     for _ in 0..cells {
         logits.push(r.f32("truncated logits")?);
@@ -677,34 +660,20 @@ pub struct WireResponse {
     pub budget_served: u32,
 }
 
-/// Encodes an OK response payload.
-pub fn encode_response_payload(resp: &WireResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        17 + 4 * (resp.sampled_indices.len() + resp.neighbor_indices.len() + resp.found.len() + 2),
-    );
-    encode_response_payload_into(resp, &mut buf);
-    buf
-}
-
-/// [`encode_response_payload`] appending into a caller-provided buffer —
-/// the wire path's per-connection scratch form (a warmed buffer encodes a
-/// steady-state response with zero heap allocation).
+/// Encodes an OK PROCESS_FRAME response payload, appending into a
+/// caller-provided buffer — the wire path's per-connection scratch form (a
+/// warmed buffer encodes a steady-state response with zero heap
+/// allocation).
 pub fn encode_response_payload_into(resp: &WireResponse, buf: &mut Vec<u8>) {
     put_u32(buf, resp.blocks);
     buf.push(u8::from(resp.cache_hit));
     put_u32(buf, resp.batch_size);
     put_u32(buf, resp.sampled_indices.len() as u32);
-    for &v in &resp.sampled_indices {
-        put_u32(buf, v);
-    }
+    put_u32s(buf, &resp.sampled_indices);
     put_u32(buf, resp.found.len() as u32);
     put_u32(buf, resp.num);
-    for &v in &resp.neighbor_indices {
-        put_u32(buf, v);
-    }
-    for &v in &resp.found {
-        put_u32(buf, v);
-    }
+    put_u32s(buf, &resp.neighbor_indices);
+    put_u32s(buf, &resp.found);
     // Brown-out marker: presence of the trailer *is* the degraded flag.
     if resp.degraded {
         put_u32(buf, resp.budget_served);
@@ -729,28 +698,19 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<WireResponse, WireError
     if n_sampled > r.remaining() / 4 {
         return Err(WireError("sample count exceeds payload"));
     }
-    let mut sampled_indices = Vec::with_capacity(n_sampled);
-    for _ in 0..n_sampled {
-        sampled_indices.push(r.u32("truncated samples")?);
-    }
+    let sampled_indices = r.u32s(n_sampled, "truncated samples")?;
     let n_centers = r.u32("truncated center count")? as usize;
     let num = r.u32("truncated num")?;
     let slots = n_centers.checked_mul(num as usize).ok_or(WireError("slot count overflow"))?;
     if slots.checked_add(n_centers).ok_or(WireError("slot count overflow"))? > r.remaining() / 4 {
         return Err(WireError("neighbor counts exceed payload"));
     }
-    let mut neighbor_indices = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        neighbor_indices.push(r.u32("truncated neighbors")?);
-    }
-    let mut found = Vec::with_capacity(n_centers);
-    for _ in 0..n_centers {
-        found.push(r.u32("truncated found")?);
-    }
+    let neighbor_indices = r.u32s(slots, "truncated neighbors")?;
+    let found = r.u32s(n_centers, "truncated found")?;
     // Optional brown-out trailer: present iff the server degraded the
     // request.
-    let (degraded, budget_served) =
-        if r.remaining() > 0 { (true, r.u32("truncated budget_served")?) } else { (false, 0) };
+    let budget_served = r.trailing_u32("truncated budget_served")?;
+    let (degraded, budget_served) = (budget_served.is_some(), budget_served.unwrap_or(0));
     r.done()?;
     Ok(WireResponse {
         sampled_indices,
@@ -885,23 +845,10 @@ pub fn encode_stream_chunk_into(chunk: &WireStreamChunk, buf: &mut Vec<u8>) {
     for seg in &chunk.segments {
         put_u32(buf, seg.block);
         put_u32(buf, seg.sampled.len() as u32);
-        for &v in &seg.sampled {
-            put_u32(buf, v);
-        }
-        for &v in &seg.grouped {
-            put_u32(buf, v);
-        }
-        for &v in &seg.found {
-            put_u32(buf, v);
-        }
+        put_u32s(buf, &seg.sampled);
+        put_u32s(buf, &seg.grouped);
+        put_u32s(buf, &seg.found);
     }
-}
-
-/// Encodes a [`status::CHUNK`] payload.
-pub fn encode_stream_chunk_payload(chunk: &WireStreamChunk) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_stream_chunk_into(chunk, &mut buf);
-    buf
 }
 
 /// Decodes a [`status::CHUNK`] payload.
@@ -937,18 +884,9 @@ pub fn decode_stream_chunk_payload(payload: &[u8]) -> Result<WireStreamChunk, Wi
         if cells > r.remaining() / 4 {
             return Err(WireError("segment length exceeds payload"));
         }
-        let mut sampled = Vec::with_capacity(count);
-        for _ in 0..count {
-            sampled.push(r.u32("truncated segment samples")?);
-        }
-        let mut grouped = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            grouped.push(r.u32("truncated segment neighbors")?);
-        }
-        let mut found = Vec::with_capacity(count);
-        for _ in 0..count {
-            found.push(r.u32("truncated segment found")?);
-        }
+        let sampled = r.u32s(count, "truncated segment samples")?;
+        let grouped = r.u32s(rows, "truncated segment neighbors")?;
+        let found = r.u32s(count, "truncated segment found")?;
         segments.push(WireLodSegment { block, sampled, grouped, found });
     }
     r.done()?;
@@ -993,7 +931,7 @@ pub fn decode_stream_end_payload(payload: &[u8]) -> Result<WireStreamEnd, WireEr
 /// Chunks append per-block state (sampled prefixes grow, neighbor rows and
 /// found counts follow); [`StreamAccumulator::response`] concatenates the
 /// per-block state in block order, which is exactly the layout
-/// [`encode_response_payload`] wires for a PROCESS_FRAME run — so after
+/// [`encode_response_payload_into`] wires for a PROCESS_FRAME run — so after
 /// pushing chunks `1..=n`, `response()` encodes byte-for-byte the payload a
 /// direct `budget = hi_n` request would have returned (for the same warm
 /// frame; `cache_hit` is taken from the first chunk and `batch_size` is 1,
@@ -1121,16 +1059,41 @@ pub fn encode_message_into(kind_byte: u8, payload: &[u8], buf: &mut Vec<u8>) {
     buf.extend_from_slice(payload);
 }
 
+/// Decodes a 9-byte message header into its kind byte (request kind or
+/// response status) and declared payload length.
+///
+/// # Errors
+///
+/// [`WireError`] when the magic is not [`MAGIC`].
+pub fn decode_header(header: &[u8; 9]) -> Result<(u8, usize), WireError> {
+    if header[0..4] != MAGIC.to_le_bytes() {
+        return Err(WireError("bad magic"));
+    }
+    Ok((header[4], u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize))
+}
+
+#[cfg(test)]
+#[path = "../tests/golden/mod.rs"]
+mod golden;
+
 #[cfg(test)]
 mod tests {
+    use super::golden::*;
     use super::*;
     use fractalcloud_pointcloud::generate::uniform_cube;
+
+    /// The bytes an appending encoder writes into an empty buffer.
+    fn encoded<T>(value: &T, encode: fn(&T, &mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode(value, &mut buf);
+        buf
+    }
 
     #[test]
     fn request_round_trips() {
         let cloud = uniform_cube(100, 1);
         let cfg = PipelineConfig::new(64, 0.5, 0.3, 8);
-        let payload = encode_request_payload(&cloud, &cfg);
+        let payload = encode_request_payload(&cloud, &cfg, 0, 0);
         assert_eq!(payload.len(), REQUEST_FIXED_BYTES + 1200);
         let (cloud2, cfg2, deadline_ms, budget) = decode_request_payload(&payload).unwrap();
         assert_eq!(cloud, cloud2);
@@ -1145,12 +1108,12 @@ mod tests {
         let cfg = PipelineConfig::default();
         // Zero deadline encodes byte-identically to the legacy payload …
         assert_eq!(
-            encode_request_payload_deadline(&cloud, &cfg, 0),
-            encode_request_payload(&cloud, &cfg)
+            encode_request_payload(&cloud, &cfg, 0, 0),
+            encode_request_payload(&cloud, &cfg, 0, 0)
         );
         // … while a non-zero one appends exactly 4 bytes and round-trips.
-        let with = encode_request_payload_deadline(&cloud, &cfg, 250);
-        assert_eq!(with.len(), encode_request_payload(&cloud, &cfg).len() + 4);
+        let with = encode_request_payload(&cloud, &cfg, 250, 0);
+        assert_eq!(with.len(), encode_request_payload(&cloud, &cfg, 0, 0).len() + 4);
         let (cloud2, cfg2, deadline_ms, budget) = decode_request_payload(&with).unwrap();
         assert_eq!(cloud, cloud2);
         assert_eq!(cfg, cfg2);
@@ -1158,8 +1121,8 @@ mod tests {
         assert_eq!(budget, 0);
         // A budget rides as a second trailer field (and forces the
         // deadline field so positions stay unambiguous).
-        let budgeted = encode_request_payload_budget(&cloud, &cfg, 0, 77);
-        assert_eq!(budgeted.len(), encode_request_payload(&cloud, &cfg).len() + 8);
+        let budgeted = encode_request_payload(&cloud, &cfg, 0, 77);
+        assert_eq!(budgeted.len(), encode_request_payload(&cloud, &cfg, 0, 0).len() + 8);
         let (_, _, deadline_ms, budget) = decode_request_payload(&budgeted).unwrap();
         assert_eq!(deadline_ms, 0);
         assert_eq!(budget, 77);
@@ -1205,7 +1168,7 @@ mod tests {
             degraded: false,
             budget_served: 0,
         };
-        let payload = encode_response_payload(&resp);
+        let payload = encoded(&resp, encode_response_payload_into);
         assert_eq!(decode_response_payload(&payload).unwrap(), resp);
     }
 
@@ -1224,12 +1187,15 @@ mod tests {
         };
         let degraded = WireResponse { degraded: true, budget_served: 3, ..full.clone() };
         // A degraded response appends exactly 4 bytes and round-trips …
-        let with = encode_response_payload(&degraded);
-        assert_eq!(with.len(), encode_response_payload(&full).len() + 4);
+        let with = encoded(&degraded, encode_response_payload_into);
+        assert_eq!(with.len(), encoded(&full, encode_response_payload_into).len() + 4);
         assert_eq!(decode_response_payload(&with).unwrap(), degraded);
         // … while a non-degraded one is byte-identical to a pre-brown-out
         // server's encoding (presence of the trailer *is* the flag).
-        assert_eq!(decode_response_payload(&encode_response_payload(&full)).unwrap(), full);
+        assert_eq!(
+            decode_response_payload(&encoded(&full, encode_response_payload_into)).unwrap(),
+            full
+        );
         // A partial trailer is malformed, not silently ignored.
         assert!(decode_response_payload(&with[..with.len() - 1]).is_err());
     }
@@ -1237,7 +1203,7 @@ mod tests {
     #[test]
     fn truncated_and_overlong_payloads_are_malformed() {
         let cloud = uniform_cube(10, 2);
-        let payload = encode_request_payload(&cloud, &PipelineConfig::default());
+        let payload = encode_request_payload(&cloud, &PipelineConfig::default(), 0, 0);
         assert!(decode_request_payload(&payload[..payload.len() - 1]).is_err());
         // A partial trailer (1–3 extra bytes) is truncated, not a deadline;
         // 5 extra bytes leave a partial budget after the deadline; 9 leave
@@ -1252,12 +1218,28 @@ mod tests {
         over_long.extend_from_slice(&[1, 0, 0, 0, 9, 0, 0, 0, 5]);
         assert_eq!(decode_request_payload(&over_long), Err(WireError("trailing bytes")));
         assert!(decode_request_payload(&[]).is_err());
+
+        // Every golden message, cut at every length and with each of its
+        // length/count fields inflated to u32::MAX, decodes to `Ok` or a
+        // `WireError`: reaching the assertion at all means no panic, and
+        // an inflated count must never be trusted with an allocation.
+        for (name, message, decode, counts) in golden_decoders() {
+            let payload = payload_of(message);
+            for cut in 0..payload.len() {
+                let _ = decode(&payload[..cut]);
+            }
+            for &at in counts {
+                let mut inflated = payload.clone();
+                inflated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                assert!(decode(&inflated).is_err(), "{name}: count at {at} inflated to u32::MAX");
+            }
+        }
     }
 
     #[test]
     fn declared_point_count_must_match_bytes() {
         let cloud = uniform_cube(4, 3);
-        let mut payload = encode_request_payload(&cloud, &PipelineConfig::default());
+        let mut payload = encode_request_payload(&cloud, &PipelineConfig::default(), 0, 0);
         // Claim 5 points while carrying 4.
         let at = REQUEST_FIXED_BYTES - 4;
         payload[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
@@ -1371,7 +1353,7 @@ mod tests {
             row_index: vec![7, 0, 31],
             logits: vec![f32::NAN, -0.0, 1.5e-42, -3.25, 0.0, f32::INFINITY, 1.0, 2.0, 3.0],
         };
-        let payload = encode_infer_response_payload(&resp);
+        let payload = encoded(&resp, encode_infer_response_payload_into);
         let back = decode_infer_response_payload(&payload).unwrap();
         assert_eq!(back.row_index, resp.row_index);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1462,7 +1444,7 @@ mod tests {
                 WireLodSegment { block: 3, sampled: vec![40], grouped: vec![9, 9], found: vec![0] },
             ],
         };
-        let payload = encode_stream_chunk_payload(&chunk);
+        let payload = encoded(&chunk, encode_stream_chunk_into);
         assert_eq!(decode_stream_chunk_payload(&payload).unwrap(), chunk);
         for cut in 0..payload.len() {
             assert!(decode_stream_chunk_payload(&payload[..cut]).is_err());
@@ -1540,6 +1522,132 @@ mod tests {
         assert_eq!(resp.found, vec![2, 2, 0, 1, 1]);
         assert_eq!((resp.blocks, resp.num, resp.batch_size), (3, 2, 1));
         assert!(resp.cache_hit);
+    }
+
+    /// A payload decoder reduced to "did it parse".
+    type Decode = fn(&[u8]) -> Result<(), WireError>;
+
+    /// Every golden message with a payload decoder, and the payload offsets
+    /// of its wire-declared length/count fields.
+    fn golden_decoders() -> Vec<(&'static str, &'static str, Decode, &'static [usize])> {
+        let frame: Decode = |p| decode_request_payload(p).map(drop);
+        let infer: Decode = |p| decode_infer_request_payload(p).map(drop);
+        let response: Decode = |p| decode_response_payload(p).map(drop);
+        // INFER: notation length, then the point count past "PN++ (c)".
+        let infer_counts: &[usize] = &[13, 25];
+        // Frame OK: n_sampled, then n_centers and num past three samples.
+        let response_counts: &[usize] = &[9, 25, 29];
+        vec![
+            ("FRAME", FRAME, frame, &[20]),
+            ("FRAME_DEADLINE", FRAME_DEADLINE, frame, &[20]),
+            ("FRAME_DEADLINE_BUDGET", FRAME_DEADLINE_BUDGET, frame, &[20]),
+            ("FRAME_HIGH", FRAME_HIGH, frame, &[20]),
+            ("FRAME_BULK", FRAME_BULK, frame, &[20]),
+            ("STREAM", STREAM, |p| decode_stream_request_payload(p).map(drop), &[20]),
+            ("INFER", INFER, infer, infer_counts),
+            ("INFER_DEADLINE", INFER_DEADLINE, infer, infer_counts),
+            ("FRAME_OK", FRAME_OK, response, response_counts),
+            ("FRAME_OK_DEGRADED", FRAME_OK_DEGRADED, response, response_counts),
+            // classes, then the row count past the three u64 counters.
+            ("INFER_OK", INFER_OK, |p| decode_infer_response_payload(p).map(drop), &[0, 34]),
+            // num, n_segments, then each segment's sample count.
+            ("CHUNK", CHUNK, |p| decode_stream_chunk_payload(p).map(drop), &[20, 25, 33, 73]),
+            ("STREAM_END", STREAM_END, |p| decode_stream_end_payload(p).map(drop), &[]),
+            ("HEALTH_OK", HEALTH_OK, |p| decode_health_payload(p).map(drop), &[]),
+        ]
+    }
+
+    #[test]
+    fn golden_messages_round_trip_through_their_codecs() {
+        let (cloud, config) = (golden_cloud(), golden_config());
+        let frames = [
+            (FRAME, 0, 0),
+            (FRAME_DEADLINE, GOLDEN_DEADLINE_MS, 0),
+            (FRAME_DEADLINE_BUDGET, GOLDEN_DEADLINE_MS, GOLDEN_BUDGET),
+        ];
+        for (golden, deadline_ms, budget) in frames {
+            let payload = encode_request_payload(&cloud, &config, deadline_ms, budget);
+            assert_eq!(hex(&payload), hex(&payload_of(golden)));
+            let decoded = decode_request_payload(&payload).unwrap();
+            assert_eq!(decoded, (cloud.clone(), config, deadline_ms, budget));
+        }
+
+        let open = golden_stream_open();
+        let payload =
+            encode_stream_request_payload(&cloud, &config, GOLDEN_STREAM_DEADLINE_MS, &open);
+        assert_eq!(hex(&payload), hex(&payload_of(STREAM)));
+        let decoded = decode_stream_request_payload(&payload).unwrap();
+        assert_eq!(decoded, (cloud.clone(), config, GOLDEN_STREAM_DEADLINE_MS, open));
+
+        let req = golden_infer_request();
+        for (golden, deadline_ms) in [(INFER, 0), (INFER_DEADLINE, GOLDEN_INFER_DEADLINE_MS)] {
+            let payload = encode_infer_request_payload(&cloud, &req, deadline_ms);
+            assert_eq!(hex(&payload), hex(&payload_of(golden)));
+            let decoded = decode_infer_request_payload(&payload).unwrap();
+            assert_eq!(decoded, (cloud.clone(), req.clone(), deadline_ms));
+        }
+
+        for (golden, resp) in
+            [(FRAME_OK, golden_frame_response()), (FRAME_OK_DEGRADED, golden_degraded_response())]
+        {
+            assert_eq!(
+                hex(&encoded(&resp, encode_response_payload_into)),
+                hex(&payload_of(golden))
+            );
+            assert_eq!(decode_response_payload(&payload_of(golden)).unwrap(), resp);
+        }
+
+        let infer = golden_infer_response();
+        assert_eq!(
+            hex(&encoded(&infer, encode_infer_response_payload_into)),
+            hex(&payload_of(INFER_OK))
+        );
+        let back = decode_infer_response_payload(&payload_of(INFER_OK)).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.logits), bits(&infer.logits));
+        assert_eq!(back, infer);
+
+        assert_eq!(
+            hex(&encoded(&golden_chunk(), encode_stream_chunk_into)),
+            hex(&payload_of(CHUNK))
+        );
+        assert_eq!(decode_stream_chunk_payload(&payload_of(CHUNK)).unwrap(), golden_chunk());
+
+        let end = encoded(&golden_stream_end(), encode_stream_end_into);
+        assert_eq!(hex(&end), hex(&payload_of(STREAM_END)));
+        assert_eq!(decode_stream_end_payload(&end).unwrap(), golden_stream_end());
+
+        let health = encode_health_payload(&golden_health());
+        assert_eq!(hex(&health), hex(&payload_of(HEALTH_OK)));
+        assert_eq!(decode_health_payload(&health).unwrap(), golden_health());
+
+        // Headers: every golden message's header decodes to its kind byte
+        // and payload length, and a bad magic is refused.
+        let headers = [
+            (FRAME, OP_PROCESS_FRAME),
+            (FRAME_HIGH, request_kind(Priority::High)),
+            (FRAME_BULK, request_kind(Priority::Bulk)),
+            (STREAM, OP_STREAM),
+            (INFER, OP_INFER),
+            (HEALTH, OP_HEALTH),
+            (METRICS, OP_METRICS),
+            (TRACE_DUMP, OP_TRACE_DUMP),
+            (STREAM_CREDIT, OP_STREAM_CREDIT),
+            (STREAM_CANCEL, OP_STREAM_CANCEL),
+            (FRAME_OK, status::OK),
+            (CHUNK, status::CHUNK),
+            (STREAM_END, status::STREAM_END),
+            (ERROR_QUEUE_FULL, status::QUEUE_FULL),
+        ];
+        for (golden, kind) in headers {
+            let bytes = unhex(golden);
+            let header: [u8; 9] = bytes[..9].try_into().unwrap();
+            assert_eq!(decode_header(&header), Ok((kind, bytes.len() - 9)));
+            let mut bad = header;
+            bad[0] ^= 0xFF;
+            assert_eq!(decode_header(&bad), Err(WireError("bad magic")));
+        }
+        assert_eq!(payload_of(ERROR_QUEUE_FULL), GOLDEN_ERROR_REASON.as_bytes());
     }
 
     #[test]

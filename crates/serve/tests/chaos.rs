@@ -12,8 +12,8 @@ use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::PointCloud;
 use fractalcloud_serve::protocol::status;
 use fractalcloud_serve::{
-    BrownoutConfig, Engine, FaultKind, FaultPlan, FaultPoint, FrameResponse, Priority, ServeClient,
-    ServeConfig, TcpServer,
+    BrownoutConfig, Engine, FaultKind, FaultPlan, FaultPoint, FrameOptions, FrameResponse,
+    Priority, ServeClient, ServeConfig, TcpServer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,7 +61,11 @@ fn chaos_soak_every_request_resolves_exactly_once() {
     let mut submitted = 0u64;
     for wave in 0..400 {
         let tickets: Vec<_> = (0..16)
-            .map(|i| engine.submit(frames[(wave + i) % frames.len()].clone(), cfg).unwrap())
+            .map(|i| {
+                engine
+                    .submit_shared(Arc::new(frames[(wave + i) % frames.len()].clone()), cfg)
+                    .unwrap()
+            })
             .collect();
         submitted += tickets.len() as u64;
         for t in tickets {
@@ -121,7 +125,7 @@ fn chaos_soak_every_request_resolves_exactly_once() {
     for _attempt in 0..50 {
         // Faults are still armed, so retry through injected failures; a
         // success must be bit-identical to the direct computation.
-        if let Ok(r) = engine.process(clean.clone(), cfg) {
+        if let Ok(r) = engine.process_shared(Arc::new(clean.clone()), cfg) {
             assert_eq!(shape(&r), direct(&clean, &cfg), "post-storm response diverged");
             engine.shutdown();
             return;
@@ -163,7 +167,7 @@ fn injected_internal_errors_are_non_retryable_on_the_wire() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let err = client
-        .process(&uniform_cube(300, 1), &PipelineConfig::default())
+        .process(&uniform_cube(300, 1), &PipelineConfig::default(), &FrameOptions::default())
         .expect_err("every block task fails, the request cannot succeed");
     match &err {
         fractalcloud_serve::ClientError::Server { code, .. } => {
@@ -189,7 +193,8 @@ fn deadline_expired_in_queue_is_shed_retryable_on_the_wire() {
 
     // Plug the single worker with a fat frame so the deadlined request
     // genuinely waits in the queue past its budget.
-    let plug = engine.submit(uniform_cube(32_768, 5), PipelineConfig::default()).unwrap();
+    let plug =
+        engine.submit_shared(Arc::new(uniform_cube(32_768, 5)), PipelineConfig::default()).unwrap();
     for _ in 0..2000 {
         let m = engine.metrics();
         if m.queue_depth == 0 && m.batches >= 1 {
@@ -199,11 +204,10 @@ fn deadline_expired_in_queue_is_shed_retryable_on_the_wire() {
     }
 
     let err = client
-        .process_with_options(
+        .process(
             &uniform_cube(200, 6),
             &PipelineConfig::default(),
-            Priority::Normal,
-            1,
+            &FrameOptions { deadline_ms: 1, ..Default::default() },
         )
         .expect_err("a 1ms deadline behind a fat plug frame must expire in queue");
     match &err {
@@ -217,7 +221,9 @@ fn deadline_expired_in_queue_is_shed_retryable_on_the_wire() {
     assert_eq!(engine.metrics().shed_deadline, 1);
 
     // Retrying without a deadline (the contract's advice) succeeds.
-    let retry = client.process(&uniform_cube(200, 6), &PipelineConfig::default()).unwrap();
+    let retry = client
+        .process(&uniform_cube(200, 6), &PipelineConfig::default(), &FrameOptions::default())
+        .unwrap();
     assert!(!retry.sampled_indices.is_empty());
 
     server.shutdown();
@@ -237,7 +243,7 @@ fn post_panic_responses_are_bit_identical_to_direct_calls() {
 
     let mut successes_after_panic = 0;
     for _ in 0..200 {
-        if let Ok(r) = engine.process(cloud.clone(), cfg) {
+        if let Ok(r) = engine.process_shared(Arc::new(cloud.clone()), cfg) {
             if engine.metrics().worker_panics >= 1 {
                 assert_eq!(shape(&r), want, "post-panic response diverged from direct calls");
                 successes_after_panic += 1;
@@ -276,8 +282,8 @@ fn delay_only_faults_never_change_results() {
             let via = kernels::with_backend(backend, || direct(&cloud, &cfg));
             assert_eq!(via, want, "backend {backend:?} diverged on direct calls");
         }
-        let a = clean.process(cloud.clone(), cfg).unwrap();
-        let b = faulted.process(cloud, cfg).unwrap();
+        let a = clean.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+        let b = faulted.process_shared(Arc::new(cloud), cfg).unwrap();
         assert_eq!(shape(&a), want);
         assert_eq!(shape(&b), want, "a delay fault changed results");
     }
@@ -298,8 +304,8 @@ fn off_plan_is_zero_cost_and_identical_to_default() {
     let default = Engine::start(ServeConfig::default().workers(1));
     let cfg = PipelineConfig::default();
     let cloud = scene_cloud(&SceneConfig::default(), 1000, 8);
-    let a = explicit.process(cloud.clone(), cfg).unwrap();
-    let b = default.process(cloud.clone(), cfg).unwrap();
+    let a = explicit.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+    let b = default.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
     assert_eq!(shape(&a), shape(&b));
     assert_eq!(shape(&a), direct(&cloud, &cfg));
     assert_eq!(explicit.metrics().faults_injected, 0);
@@ -372,7 +378,9 @@ fn brownout_chaos_storm_degrades_without_corruption() {
             .map(|i| {
                 let idx = (wave + i) % frames.len();
                 let priority = if i % 3 == 0 { Priority::High } else { Priority::Normal };
-                let t = engine.submit_with_priority(frames[idx].clone(), cfg, priority).unwrap();
+                let t = engine
+                    .submit_shared_budget(Arc::new(frames[idx].clone()), cfg, 0, priority, None)
+                    .unwrap();
                 (idx, priority, t)
             })
             .collect();

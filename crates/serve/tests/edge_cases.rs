@@ -6,7 +6,8 @@ use fractalcloud_core::PipelineConfig;
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_serve::protocol::{self, status, OP_PROCESS_FRAME};
 use fractalcloud_serve::{
-    ClientError, Engine, Priority, ServeClient, ServeConfig, ServeError, ShedReason, TcpServer,
+    ClientError, Engine, FrameOptions, Priority, ServeClient, ServeConfig, ServeError, ShedReason,
+    TcpServer,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -21,7 +22,7 @@ fn frame(n: usize, seed: u64) -> fractalcloud_pointcloud::PointCloud {
 fn zero_capacity_queue_sheds_everything() {
     let engine = Engine::start(ServeConfig::default().workers(1).queue_capacity(0));
     for seed in 0..4 {
-        let r = engine.submit(uniform_cube(256, seed), PipelineConfig::default());
+        let r = engine.submit_shared(Arc::new(uniform_cube(256, seed)), PipelineConfig::default());
         assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
     }
     let m = engine.metrics();
@@ -36,7 +37,7 @@ fn oversized_frames_shed_in_process_and_over_tcp() {
     let engine = Arc::new(Engine::start(ServeConfig::default().workers(1).max_points(512)));
     let big = uniform_cube(1000, 1);
 
-    let r = engine.process(big.clone(), PipelineConfig::default());
+    let r = engine.process_shared(Arc::new(big.clone()), PipelineConfig::default());
     assert_eq!(
         r.unwrap_err(),
         ServeError::Shed(ShedReason::Oversized { points: 1000, max_points: 512 })
@@ -45,7 +46,8 @@ fn oversized_frames_shed_in_process_and_over_tcp() {
     let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine)).unwrap();
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
     // The TCP layer rejects on byte size before the engine even sees it.
-    let err = client.process(&big, &PipelineConfig::default()).unwrap_err();
+    let err =
+        client.process(&big, &PipelineConfig::default(), &FrameOptions::default()).unwrap_err();
     match err {
         ClientError::Server { code, .. } => assert_eq!(code, status::OVERSIZED),
         other => panic!("expected server oversize rejection, got {other:?}"),
@@ -86,8 +88,12 @@ fn malformed_frames_reject_but_do_not_kill_the_server() {
         raw.read_exact(&mut msg).unwrap();
 
         // Same connection, now a valid request: it still works.
-        let payload =
-            protocol::encode_request_payload(&uniform_cube(512, 2), &PipelineConfig::default());
+        let payload = protocol::encode_request_payload(
+            &uniform_cube(512, 2),
+            &PipelineConfig::default(),
+            0,
+            0,
+        );
         raw.write_all(&protocol::encode_message(OP_PROCESS_FRAME, &payload)).unwrap();
         raw.read_exact(&mut header).unwrap();
         assert_eq!(header[4], status::OK);
@@ -117,7 +123,9 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
 
     // The server must still answer a well-formed request afterwards.
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
-    let reply = client.process(&frame(1024, 3), &PipelineConfig::default()).unwrap();
+    let reply = client
+        .process(&frame(1024, 3), &PipelineConfig::default(), &FrameOptions::default())
+        .unwrap();
     assert_eq!(reply.sampled_indices.len(), 256);
 
     // The disconnect is (eventually) counted; poll briefly since the
@@ -139,7 +147,9 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
 fn graceful_shutdown_drains_in_flight_batches() {
     let engine = Engine::start(ServeConfig::default().workers(2).queue_capacity(64));
     let tickets: Vec<_> = (0..12)
-        .map(|seed| engine.submit(frame(2048, seed), PipelineConfig::default()).unwrap())
+        .map(|seed| {
+            engine.submit_shared(Arc::new(frame(2048, seed)), PipelineConfig::default()).unwrap()
+        })
         .collect();
 
     engine.shutdown(); // must block until every admitted job completed
@@ -153,7 +163,7 @@ fn graceful_shutdown_drains_in_flight_batches() {
     assert_eq!(m.queue_depth, 0);
 
     // And new work is refused with the dedicated reason.
-    let r = engine.submit(frame(512, 99), PipelineConfig::default());
+    let r = engine.submit_shared(Arc::new(frame(512, 99)), PipelineConfig::default());
     assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::ShuttingDown));
 }
 
@@ -169,7 +179,7 @@ fn overload_sheds_with_counted_rejections_and_bounded_queue() {
     let mut shed = 0u64;
     let mut tickets = Vec::new();
     for seed in 0..offered {
-        match engine.submit(frame(4096, seed), PipelineConfig::default()) {
+        match engine.submit_shared(Arc::new(frame(4096, seed)), PipelineConfig::default()) {
             Ok(t) => tickets.push(t),
             Err(ServeError::Shed(ShedReason::QueueFull)) => shed += 1,
             Err(other) => panic!("unexpected error under overload: {other:?}"),
@@ -204,7 +214,7 @@ fn compatible_frames_are_batched_incompatible_are_not_mixed() {
     let tickets: Vec<_> = (0..16)
         .map(|seed| {
             let cfg = if seed % 2 == 0 { a } else { b };
-            engine.submit(frame(2048, seed), cfg).unwrap()
+            engine.submit_shared(Arc::new(frame(2048, seed)), cfg).unwrap()
         })
         .collect();
     let responses: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
@@ -250,18 +260,38 @@ fn high_completes_first_under_overload_and_bulk_sheds_first_at_the_bound() {
 
     // Occupy the worker with a fat plug frame so the real submissions all
     // queue behind it.
-    let plug = engine.submit(frame(32_768, 1), PipelineConfig::default()).unwrap();
+    let plug = engine.submit_shared(Arc::new(frame(32_768, 1)), PipelineConfig::default()).unwrap();
     wait_for_drain_start(&engine, 1);
 
     // Overload: Bulk arrives *before* High, yet High must complete first
     // (the weighted schedule prefers the High lane 4:1).
     let bulk_tickets: Vec<_> = bulk_frames
         .into_iter()
-        .map(|f| engine.submit_with_priority(f, PipelineConfig::default(), Priority::Bulk).unwrap())
+        .map(|f| {
+            engine
+                .submit_shared_budget(
+                    Arc::new(f),
+                    PipelineConfig::default(),
+                    0,
+                    Priority::Bulk,
+                    None,
+                )
+                .unwrap()
+        })
         .collect();
     let high_tickets: Vec<_> = high_frames
         .into_iter()
-        .map(|f| engine.submit_with_priority(f, PipelineConfig::default(), Priority::High).unwrap())
+        .map(|f| {
+            engine
+                .submit_shared_budget(
+                    Arc::new(f),
+                    PipelineConfig::default(),
+                    0,
+                    Priority::High,
+                    None,
+                )
+                .unwrap()
+        })
         .collect();
 
     plug.wait().unwrap();
@@ -295,15 +325,21 @@ fn bulk_is_displaced_at_the_queue_bound_and_high_is_never_displaced() {
     ));
     let frames: Vec<_> = (30..35).map(|s| frame(512, s)).collect();
     let [f30, f31, f32, f33, f34] = <[_; 5]>::try_from(frames).unwrap();
-    let plug = engine.submit(frame(32_768, 2), PipelineConfig::default()).unwrap();
+    let plug = engine.submit_shared(Arc::new(frame(32_768, 2)), PipelineConfig::default()).unwrap();
     wait_for_drain_start(&engine, 1);
 
     // Fill the bound with Bulk work.
-    let b1 = engine.submit_with_priority(f30, PipelineConfig::default(), Priority::Bulk).unwrap();
-    let b2 = engine.submit_with_priority(f31, PipelineConfig::default(), Priority::Bulk).unwrap();
+    let b1 = engine
+        .submit_shared_budget(Arc::new(f30), PipelineConfig::default(), 0, Priority::Bulk, None)
+        .unwrap();
+    let b2 = engine
+        .submit_shared_budget(Arc::new(f31), PipelineConfig::default(), 0, Priority::Bulk, None)
+        .unwrap();
 
     // A High arrival at the bound displaces the *youngest* Bulk job...
-    let h = engine.submit_with_priority(f32, PipelineConfig::default(), Priority::High).unwrap();
+    let h = engine
+        .submit_shared_budget(Arc::new(f32), PipelineConfig::default(), 0, Priority::High, None)
+        .unwrap();
     assert_eq!(
         b2.wait().unwrap_err(),
         ServeError::Shed(ShedReason::QueueFull),
@@ -311,12 +347,20 @@ fn bulk_is_displaced_at_the_queue_bound_and_high_is_never_displaced() {
     );
 
     // ...a further Bulk arrival has nothing below it and sheds itself...
-    let r = engine.submit_with_priority(f33, PipelineConfig::default(), Priority::Bulk);
+    let r = engine.submit_shared_budget(
+        Arc::new(f33),
+        PipelineConfig::default(),
+        0,
+        Priority::Bulk,
+        None,
+    );
     assert_eq!(r.unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
 
     // ...and a second High arrival cannot displace the queued High (only
     // classes strictly below it), so it displaces the remaining Bulk job.
-    let h2 = engine.submit_with_priority(f34, PipelineConfig::default(), Priority::High).unwrap();
+    let h2 = engine
+        .submit_shared_budget(Arc::new(f34), PipelineConfig::default(), 0, Priority::High, None)
+        .unwrap();
     assert_eq!(b1.wait().unwrap_err(), ServeError::Shed(ShedReason::QueueFull));
 
     let m = engine.metrics();
@@ -339,11 +383,13 @@ fn connection_limit_refuses_with_retryable_status() {
     // First connection occupies the single slot (a round-trip guarantees
     // its handler is registered).
     let mut first = ServeClient::connect(server.local_addr()).unwrap();
-    first.process(&frame(512, 40), &PipelineConfig::default()).unwrap();
+    first.process(&frame(512, 40), &PipelineConfig::default(), &FrameOptions::default()).unwrap();
 
     // The second connection is answered TOO_MANY_CONNECTIONS and closed.
     let mut second = ServeClient::connect(server.local_addr()).unwrap();
-    let err = second.process(&frame(512, 41), &PipelineConfig::default()).unwrap_err();
+    let err = second
+        .process(&frame(512, 41), &PipelineConfig::default(), &FrameOptions::default())
+        .unwrap_err();
     match &err {
         ClientError::Server { code, .. } => {
             assert_eq!(*code, protocol::status::TOO_MANY_CONNECTIONS)
@@ -358,7 +404,9 @@ fn connection_limit_refuses_with_retryable_status() {
     let mut ok = false;
     for _ in 0..500 {
         if let Ok(mut c) = ServeClient::connect(server.local_addr()) {
-            if c.process(&frame(512, 42), &PipelineConfig::default()).is_ok() {
+            if c.process(&frame(512, 42), &PipelineConfig::default(), &FrameOptions::default())
+                .is_ok()
+            {
                 ok = true;
                 break;
             }
@@ -378,8 +426,8 @@ fn responses_over_tcp_match_in_process_results() {
 
     let cloud = frame(3000, 11);
     let cfg = PipelineConfig::default();
-    let wire = client.process(&cloud, &cfg).unwrap();
-    let local = engine.process(cloud, cfg).unwrap();
+    let wire = client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
+    let local = engine.process_shared(Arc::new(cloud), cfg).unwrap();
 
     let as_u32 = |v: &[usize]| v.iter().map(|&i| i as u32).collect::<Vec<u32>>();
     assert_eq!(wire.sampled_indices, as_u32(&local.sampled_indices));

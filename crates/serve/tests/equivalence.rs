@@ -6,7 +6,9 @@ use fractalcloud_core::{block_ball_query, block_fps, BppoConfig, Fractal, Pipeli
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::PointCloud;
-use fractalcloud_serve::{Engine, FrameResponse, Priority, ServeClient, ServeConfig, TcpServer};
+use fractalcloud_serve::{
+    Engine, FrameOptions, FrameResponse, Priority, ServeClient, ServeConfig, TcpServer,
+};
 use std::sync::Arc;
 
 /// The direct library computation a served frame must match exactly.
@@ -71,14 +73,14 @@ fn server_responses_are_bit_identical_to_direct_calls_on_every_backend() {
         }
 
         // In-process serving: cold, then cache-hit.
-        let cold = engine.process(cloud.clone(), *cfg).unwrap();
+        let cold = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
         assert_eq!(shape(&cold), expected, "served response diverged from direct calls");
-        let warm = engine.process(cloud.clone(), *cfg).unwrap();
+        let warm = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
         assert!(warm.cache_hit, "identical frame bytes must hit the partition cache");
         assert_eq!(shape(&warm), expected, "cache-hit response diverged");
 
         // Over the wire.
-        let wire = client.process(cloud, cfg).unwrap();
+        let wire = client.process(cloud, cfg, &FrameOptions::default()).unwrap();
         assert_eq!(
             wire.sampled_indices,
             expected.sampled_indices.iter().map(|&i| i as u32).collect::<Vec<u32>>()
@@ -105,7 +107,8 @@ fn batched_execution_matches_direct_calls_for_every_member() {
     let cfg = PipelineConfig::default();
     let clouds: Vec<PointCloud> =
         (0..24).map(|seed| scene_cloud(&SceneConfig::default(), 1500, seed)).collect();
-    let tickets: Vec<_> = clouds.iter().map(|c| engine.submit(c.clone(), cfg).unwrap()).collect();
+    let tickets: Vec<_> =
+        clouds.iter().map(|c| engine.submit_shared(Arc::new(c.clone()), cfg).unwrap()).collect();
     for (cloud, ticket) in clouds.iter().zip(tickets) {
         let r = ticket.wait().unwrap();
         assert_eq!(shape(&r), direct(cloud, &cfg), "a batched frame diverged");
@@ -141,19 +144,18 @@ fn cross_frame_block_batching_is_bit_identical_to_per_frame_execution() {
         }
     }
 
-    // thread_budget(4) forces the block-batched schedule even on 1-CPU
-    // hosts (it only engages with a budget > 1 to saturate) and gives the
-    // legacy arm genuinely parallel lanes — both must still match the
-    // sequential per-frame expectation bit for bit.
-    for batch_blocks in [true, false] {
+    // thread_budget 4 forces the block-batched schedule even on 1-CPU
+    // hosts (it only engages with a budget > 1 to saturate); budget 1 runs
+    // the per-job lanes — both must still match the sequential per-frame
+    // expectation bit for bit.
+    for thread_budget in [4, 1] {
         let engine = Arc::new(Engine::start(
             ServeConfig::default()
                 .workers(1)
                 .max_batch(8)
                 .queue_capacity(16)
                 .cache_capacity(0)
-                .thread_budget(4)
-                .batch_blocks(batch_blocks),
+                .thread_budget(thread_budget),
         ));
         // Mixed priorities across the batch: scheduling class must never
         // change results.
@@ -162,7 +164,7 @@ fn cross_frame_block_batching_is_bit_identical_to_per_frame_execution() {
             .enumerate()
             .map(|(i, c)| {
                 engine
-                    .submit_with_priority(c.clone(), cfg, Priority::ALL[i % 3])
+                    .submit_shared_budget(Arc::new(c.clone()), cfg, 0, Priority::ALL[i % 3], None)
                     .expect("queue sized for the whole batch")
             })
             .collect();
@@ -171,11 +173,11 @@ fn cross_frame_block_batching_is_bit_identical_to_per_frame_execution() {
             assert_eq!(
                 &shape(r),
                 want,
-                "batch_blocks={batch_blocks} diverged on a {}-point frame",
+                "thread_budget={thread_budget} diverged on a {}-point frame",
                 cloud.len()
             );
         }
-        if batch_blocks {
+        if thread_budget > 1 {
             let fused = responses.iter().map(|r| r.batch_size).max().unwrap();
             assert!(fused >= 2, "expected at least one genuinely fused batch, got {fused}");
         }
@@ -211,7 +213,7 @@ fn warmed_worker_workspaces_never_leak_state_between_frames() {
     for round in 0..2 {
         for ((n, seed), cfg) in shapes.iter().zip(configs.iter()) {
             let cloud = scene_cloud(&SceneConfig::default(), *n, *seed);
-            let served = engine.process(cloud.clone(), *cfg).unwrap();
+            let served = engine.process_shared(Arc::new(cloud.clone()), *cfg).unwrap();
             assert_eq!(
                 shape(&served),
                 direct(&cloud, cfg),
@@ -233,8 +235,8 @@ fn sequential_and_parallel_serving_configurations_agree() {
 
     let seq_engine = Engine::start(ServeConfig::default().workers(1).thread_budget(1));
     let par_engine = Engine::start(ServeConfig::default().workers(2).thread_budget(8));
-    let a = seq_engine.process(cloud.clone(), cfg).unwrap();
-    let b = par_engine.process(cloud, cfg).unwrap();
+    let a = seq_engine.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
+    let b = par_engine.process_shared(Arc::new(cloud), cfg).unwrap();
     assert_eq!(shape(&a), shape(&b));
     seq_engine.shutdown();
     par_engine.shutdown();

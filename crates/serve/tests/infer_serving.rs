@@ -8,7 +8,7 @@ use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_serve::protocol::{status, WireInferRequest, AGG_DELAYED, AGG_EAGER};
 use fractalcloud_serve::{
     Aggregation, ClientError, Engine, InferRequest, ModelConfig, ServeClient, ServeConfig,
-    TcpServer,
+    TcpServer, Ticket,
 };
 use std::sync::Arc;
 
@@ -45,10 +45,11 @@ fn tcp_infer_is_bit_identical_to_in_process() {
 
     for (byte, agg) in [(AGG_EAGER, Aggregation::Eager), (AGG_DELAYED, Aggregation::Delayed)] {
         let direct = engine
-            .process_infer(
+            .submit_infer(
                 Arc::new(cloud.clone()),
                 InferRequest { aggregation: Some(agg), ..InferRequest::new(zoo_model()) },
             )
+            .and_then(Ticket::wait)
             .expect("in-process infer");
 
         let mut client = ServeClient::connect(server.local_addr()).expect("connect");

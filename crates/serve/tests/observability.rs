@@ -9,8 +9,8 @@ use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_pointcloud::kernels::{self, Backend};
 use fractalcloud_pointcloud::PointCloud;
 use fractalcloud_serve::{
-    Aggregation, Engine, FrameResponse, InferRequest, ModelConfig, ServeClient, ServeConfig,
-    TcpServer,
+    Aggregation, Engine, FrameOptions, FrameResponse, InferRequest, ModelConfig, ServeClient,
+    ServeConfig, TcpServer, Ticket,
 };
 use proptest::{proptest, ProptestConfig};
 use std::sync::{Arc, Mutex};
@@ -42,15 +42,17 @@ fn serve_once(
     cloud: &PointCloud,
 ) -> ((Vec<usize>, Vec<usize>, Vec<usize>, usize, usize), Vec<u32>, Vec<usize>) {
     let engine = Engine::start(ServeConfig::default().workers(2).max_batch(4));
-    let frame = engine.process(cloud.clone(), PipelineConfig::default()).expect("frame");
+    let frame =
+        engine.process_shared(Arc::new(cloud.clone()), PipelineConfig::default()).expect("frame");
     let infer = engine
-        .process_infer(
+        .submit_infer(
             Arc::new(cloud.clone()),
             InferRequest {
                 aggregation: Some(Aggregation::Delayed),
                 ..InferRequest::new(zoo_model())
             },
         )
+        .and_then(Ticket::wait)
         .expect("infer");
     engine.shutdown();
     (frame_bits(&frame), logit_bits(&infer.output.logits), infer.output.row_index.clone())
@@ -90,7 +92,7 @@ fn metrics_opcode_speaks_well_formed_exposition() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let cloud = scene_cloud(&SceneConfig::default(), 2048, 7);
-    client.process(&cloud, &PipelineConfig::default()).expect("frame");
+    client.process(&cloud, &PipelineConfig::default(), &FrameOptions::default()).expect("frame");
 
     let text = client.metrics_text().expect("METRICS reply");
     let mut names = Vec::new();
@@ -133,7 +135,7 @@ fn trace_dump_opcode_drains_chrome_json() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let cloud = uniform_cube(1024, 11);
-    client.process(&cloud, &PipelineConfig::default()).expect("frame");
+    client.process(&cloud, &PipelineConfig::default(), &FrameOptions::default()).expect("frame");
 
     let first = client.trace_dump().expect("TRACE_DUMP reply");
     assert!(first.starts_with("{\"traceEvents\":["), "not chrome trace JSON: {first:.40}");
@@ -161,7 +163,7 @@ fn health_reports_trace_status_and_uptime() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let cloud = uniform_cube(512, 5);
-    client.process(&cloud, &PipelineConfig::default()).expect("frame");
+    client.process(&cloud, &PipelineConfig::default(), &FrameOptions::default()).expect("frame");
 
     let health = client.health().expect("HEALTH reply");
     assert!(health.trace_enabled);
@@ -193,7 +195,7 @@ fn infer_tickets_share_queue_wait_and_class_histograms() {
         priority: fractalcloud_serve::Priority::Bulk,
         ..InferRequest::new(zoo_model())
     };
-    engine.process_infer(Arc::clone(&cloud), request).expect("infer");
+    engine.submit_infer(Arc::clone(&cloud), request).and_then(Ticket::wait).expect("infer");
     let after = engine.metrics();
 
     let bulk = fractalcloud_serve::Priority::Bulk.index();

@@ -7,8 +7,8 @@ use fractalcloud_core::{Pipeline, PipelineConfig};
 use fractalcloud_pointcloud::generate::{scene_cloud, uniform_cube, SceneConfig};
 use fractalcloud_serve::protocol::status;
 use fractalcloud_serve::{
-    BrownoutConfig, Engine, OverloadLevel, Priority, RetryPolicy, ServeClient, ServeConfig,
-    ServeError, ShedReason, TcpServer,
+    BrownoutConfig, Engine, FrameOptions, OverloadLevel, Priority, RetryPolicy, ServeClient,
+    ServeConfig, ServeError, ShedReason, TcpServer, Ticket,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,14 +32,17 @@ fn brownout_serves_bit_identical_budget_prefixes() {
     let served = (full.sampled.indices.len() >> 2).max(1);
     let want = pipe.run_budget(&cloud, served, false).unwrap();
 
-    let resp = engine.process(cloud.clone(), cfg).unwrap();
+    let resp = engine.process_shared(Arc::new(cloud.clone()), cfg).unwrap();
     assert!(resp.degraded, "a forced brown-out must mark the response degraded");
     assert_eq!(resp.budget_served, served);
     assert_eq!(resp.sampled_indices, want.sampled.indices, "degraded response is not the prefix");
     assert_eq!(resp.neighbor_indices, want.grouped.indices);
 
     // High priority rides through untouched, at full depth.
-    let high = engine.process_with_priority(cloud.clone(), cfg, Priority::High).unwrap();
+    let high = engine
+        .submit_shared_budget(Arc::new(cloud.clone()), cfg, 0, Priority::High, None)
+        .and_then(Ticket::wait)
+        .unwrap();
     assert!(!high.degraded, "High priority must never be degraded");
     assert_eq!(high.budget_served, 0);
     assert_eq!(high.sampled_indices, full.sampled.indices);
@@ -63,10 +66,15 @@ fn shed_level_sheds_normal_but_never_high() {
     let cloud = uniform_cube(600, 3);
     let cfg = PipelineConfig::default();
 
-    let err = engine.process(cloud.clone(), cfg).expect_err("Normal must shed at level 4");
+    let err = engine
+        .process_shared(Arc::new(cloud.clone()), cfg)
+        .expect_err("Normal must shed at level 4");
     assert!(matches!(err, ServeError::Shed(ShedReason::QueueFull)), "shed reason: {err:?}");
 
-    let high = engine.process_with_priority(cloud.clone(), cfg, Priority::High).unwrap();
+    let high = engine
+        .submit_shared_budget(Arc::new(cloud.clone()), cfg, 0, Priority::High, None)
+        .and_then(Ticket::wait)
+        .unwrap();
     assert!(!high.degraded);
     let pipe = Pipeline::new(cfg).unwrap();
     assert_eq!(high.sampled_indices, pipe.run(&cloud, false).unwrap().sampled.indices);
@@ -86,7 +94,7 @@ fn brownout_marker_and_level_cross_the_wire() {
     let cloud = scene_cloud(&SceneConfig::default(), 1200, 8);
     let cfg = PipelineConfig::default();
 
-    let resp = client.process(&cloud, &cfg).unwrap();
+    let resp = client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
     assert!(resp.degraded);
     let served = resp.budget_served;
     assert!(served > 0);
@@ -98,7 +106,9 @@ fn brownout_marker_and_level_cross_the_wire() {
     let sampled: Vec<usize> = resp.sampled_indices.iter().map(|&i| i as usize).collect();
     assert_eq!(sampled, want.sampled.indices);
 
-    let high = client.process_with_priority(&cloud, &cfg, Priority::High).unwrap();
+    let high = client
+        .process(&cloud, &cfg, &FrameOptions { priority: Priority::High, ..Default::default() })
+        .unwrap();
     assert!(!high.degraded, "High priority must cross the wire undegraded");
     assert_eq!(high.budget_served, 0);
 
@@ -132,18 +142,22 @@ fn drain_answers_goaway_and_resume_rearms() {
     let cloud = uniform_cube(500, 7);
     let cfg = PipelineConfig::default();
 
-    client.process(&cloud, &cfg).unwrap();
+    client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
 
     // In-flight work admitted before the drain still completes.
-    let inflight = engine.submit(uniform_cube(20_000, 9), cfg).unwrap();
+    let inflight = engine.submit_shared(Arc::new(uniform_cube(20_000, 9)), cfg).unwrap();
     engine.drain();
     assert!(engine.is_draining());
     inflight.wait().expect("work admitted before the drain must finish");
 
     // New in-process submits shed retryably; new wire work gets GOAWAY.
-    let err = engine.submit(cloud.clone(), cfg).expect_err("draining engine must not admit");
+    let err = engine
+        .submit_shared(Arc::new(cloud.clone()), cfg)
+        .expect_err("draining engine must not admit");
     assert!(matches!(err, ServeError::Shed(ShedReason::ShuttingDown)));
-    let err = client.process(&cloud, &cfg).expect_err("draining server must answer GOAWAY");
+    let err = client
+        .process(&cloud, &cfg, &FrameOptions::default())
+        .expect_err("draining server must answer GOAWAY");
     match &err {
         fractalcloud_serve::ClientError::Server { code, .. } => {
             assert_eq!(*code, status::GOAWAY);
@@ -173,8 +187,8 @@ fn drain_answers_goaway_and_resume_rearms() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
     let h = client.health().unwrap();
     assert!(h.live && !h.draining);
-    client.process(&cloud, &cfg).unwrap();
-    engine.submit(cloud.clone(), cfg).unwrap().wait().unwrap();
+    client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
+    engine.submit_shared(Arc::new(cloud.clone()), cfg).unwrap().wait().unwrap();
 
     server.shutdown();
     engine.shutdown();
@@ -204,7 +218,7 @@ fn client_retry_heals_through_a_live_drain() {
     // sits well inside a few backoff steps.
     let mut policy = RetryPolicy::new(10, 0xD5A1).base_delay(Duration::from_millis(40));
     let resp = client
-        .process_retry(&cloud, &cfg, Priority::Normal, 0, &mut policy)
+        .process_retry(&cloud, &cfg, &FrameOptions::default(), &mut policy)
         .expect("the retry loop must outlast the drain window");
     assert!(!resp.degraded);
     assert!(client.retries() >= 1, "healing through a drain takes at least one retry");
@@ -231,13 +245,13 @@ fn idle_reaped_connection_heals_via_retry() {
     let cloud = uniform_cube(400, 5);
     let cfg = PipelineConfig::default();
 
-    client.process(&cloud, &cfg).unwrap();
+    client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
     // Sit idle past the server's timeout: the handler reaps the socket.
     std::thread::sleep(Duration::from_millis(400));
 
     let mut policy = RetryPolicy::new(5, 7).base_delay(Duration::from_millis(5));
     let resp = client
-        .process_retry(&cloud, &cfg, Priority::Normal, 0, &mut policy)
+        .process_retry(&cloud, &cfg, &FrameOptions::default(), &mut policy)
         .expect("a reaped connection must heal by reconnect-and-replay");
     assert!(!resp.sampled_indices.is_empty());
 
@@ -267,8 +281,9 @@ fn adaptive_controller_escalates_and_recovers() {
     let cfg = PipelineConfig::default();
 
     // Pile up work behind a single worker so jobs genuinely wait.
-    let tickets: Vec<_> =
-        (0..12).map(|s| engine.submit(uniform_cube(4096, s), cfg).unwrap()).collect();
+    let tickets: Vec<_> = (0..12)
+        .map(|s| engine.submit_shared(Arc::new(uniform_cube(4096, s)), cfg).unwrap())
+        .collect();
     for t in tickets {
         let _ = t.wait();
     }

@@ -6,9 +6,18 @@
 use fractalcloud_core::PipelineConfig;
 use fractalcloud_pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud_serve::protocol::{self, WireStreamOpen};
-use fractalcloud_serve::{Engine, Priority, ServeClient, ServeConfig, StreamEvent, TcpServer};
+use fractalcloud_serve::{
+    Engine, FrameOptions, Priority, ServeClient, ServeConfig, StreamEvent, TcpServer,
+};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A frame response's OK payload bytes.
+fn encoded(resp: &protocol::WireResponse) -> Vec<u8> {
+    let mut buf = Vec::new();
+    protocol::encode_response_payload_into(resp, &mut buf);
+    buf
+}
 
 fn start(config: ServeConfig) -> (Arc<Engine>, TcpServer) {
     let engine = Arc::new(Engine::start(config));
@@ -30,7 +39,7 @@ fn accumulated_chunks_are_byte_identical_to_direct_budget_responses_at_every_dep
     let cfg = PipelineConfig::default();
     // Warm the partition cache so the streamed chunks and the direct
     // comparisons all report the same cache_hit flag.
-    direct.process(&cloud, &cfg).unwrap();
+    direct.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
 
     let open = WireStreamOpen { first_paint: 100, chunk: 230, credits: 2 };
     streamer.stream_open(&cloud, &cfg, Priority::Normal, 0, &open).unwrap();
@@ -39,11 +48,16 @@ fn accumulated_chunks_are_byte_identical_to_direct_budget_responses_at_every_dep
         match streamer.stream_next().unwrap() {
             StreamEvent::Chunk(chunk) => {
                 acc.push(&chunk).unwrap();
-                let at_depth =
-                    direct.process_budget(&cloud, &cfg, Priority::Normal, 0, acc.depth()).unwrap();
+                let at_depth = direct
+                    .process(
+                        &cloud,
+                        &cfg,
+                        &FrameOptions { budget: acc.depth(), ..Default::default() },
+                    )
+                    .unwrap();
                 assert_eq!(
-                    protocol::encode_response_payload(&acc.response()),
-                    protocol::encode_response_payload(&at_depth),
+                    encoded(&acc.response()),
+                    encoded(&at_depth),
                     "accumulated stream diverged from the direct budget-{} response",
                     acc.depth()
                 );
@@ -59,7 +73,7 @@ fn accumulated_chunks_are_byte_identical_to_direct_budget_responses_at_every_dep
         }
     }
     // ...and the fully refined stream equals the ordinary full response.
-    let full = direct.process(&cloud, &cfg).unwrap();
+    let full = direct.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
     assert_eq!(acc.response(), full, "a fully refined stream must equal the monolithic response");
 
     server.shutdown();
@@ -78,7 +92,7 @@ fn stream_frame_completes_with_server_default_knobs() {
     let (resp, end) = client.stream_frame(&cloud, &cfg, Priority::High, 0, &open).unwrap();
     assert!(!end.cancelled);
     assert!(end.chunks >= 1);
-    let full = client.process(&cloud, &cfg).unwrap();
+    let full = client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
     // The stream ran first (cold), the direct request second (warm): the
     // cache flag is the only field allowed to differ.
     let mut warm = resp.clone();
@@ -89,7 +103,7 @@ fn stream_frame_completes_with_server_default_knobs() {
     // tolerated: the connection stays usable for ordinary requests.
     client.stream_credit().unwrap();
     client.cancel().unwrap();
-    client.process(&cloud, &cfg).unwrap();
+    client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
 
     let m = engine.metrics();
     assert_eq!(m.streams_opened, 1);
@@ -190,7 +204,7 @@ fn mid_stream_disconnect_leaves_the_engine_healthy() {
         std::thread::sleep(Duration::from_millis(20));
     }
     // And the engine still serves.
-    probe.process(&cloud, &cfg).unwrap();
+    probe.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
     assert!(probe.health().unwrap().live);
     server.shutdown();
     engine.shutdown();
@@ -207,7 +221,7 @@ fn malformed_stream_requests_keep_the_connection_usable() {
     // payload under the STREAM opcode) is malformed — but framing was
     // intact, so the same connection survives and serves the next request.
     let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    let bad = protocol::encode_request_payload(&cloud, &cfg);
+    let bad = protocol::encode_request_payload(&cloud, &cfg, 0, 0);
     raw.write_all(&protocol::encode_message(protocol::stream_request_kind(Priority::Normal), &bad))
         .unwrap();
     let mut header = [0u8; 9];
@@ -273,7 +287,7 @@ fn credit_starved_stream_resolves_at_the_deadline() {
     }
     let m = engine.metrics();
     assert_eq!(m.streams_opened, m.streams_closed, "streams_open/closed must balance");
-    client.process(&cloud, &cfg).unwrap();
+    client.process(&cloud, &cfg, &FrameOptions::default()).unwrap();
 
     server.shutdown();
     engine.shutdown();

@@ -20,7 +20,7 @@ use fractalcloud::pointcloud::generate::{scene_cloud, SceneConfig};
 use fractalcloud::pointcloud::kernels;
 use fractalcloud::pointcloud::PointCloud;
 use fractalcloud::serve::{
-    ClientError, Engine, FaultPlan, Priority, ServeClient, ServeConfig, TcpServer,
+    ClientError, Engine, FaultPlan, FrameOptions, Priority, ServeClient, ServeConfig, TcpServer,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,7 +84,11 @@ fn drive(
             for i in 0..per_client {
                 let cloud = &clouds[(c * per_client + i) % clouds.len()];
                 let t = Instant::now();
-                match client.process_with_priority(cloud, &cfg, priority_of(c)) {
+                match client.process(
+                    cloud,
+                    &cfg,
+                    &FrameOptions { priority: priority_of(c), ..Default::default() },
+                ) {
                     Ok(_) => {
                         ok += 1;
                         lat_us.push(t.elapsed().as_micros() as u64);
@@ -319,7 +323,7 @@ fn main() {
         // it may shed retryably — either way it must resolve.
         let deadline_ms = if sent % 8 == 7 { 1 } else { 0 };
         sent += 1;
-        match client.process_with_options(cloud, &cfg, Priority::Normal, deadline_ms) {
+        match client.process(cloud, &cfg, &FrameOptions { deadline_ms, ..Default::default() }) {
             Ok(_) => ok += 1,
             Err(e) if e.is_shed() => shed += 1,
             Err(ClientError::Server { code, .. })
@@ -472,7 +476,7 @@ fn main() {
     // Warm both paths: the first stream computes (and caches) the frame's
     // full FPS ordering; the direct request warms the partition LRU.
     client.stream_frame(stream_cloud, &cfg, Priority::High, 0, &open).expect("stream warmup");
-    client.process(stream_cloud, &cfg).expect("direct warmup");
+    client.process(stream_cloud, &cfg, &FrameOptions::default()).expect("direct warmup");
 
     let stream_frames = if quick { 4 } else { 16 };
     let mut ttfb_us = Vec::with_capacity(stream_frames);
@@ -505,7 +509,7 @@ fn main() {
     let mut full_us = Vec::with_capacity(stream_frames);
     for _ in 0..stream_frames {
         let t = Instant::now();
-        client.process(stream_cloud, &cfg).expect("warm full frame");
+        client.process(stream_cloud, &cfg, &FrameOptions::default()).expect("warm full frame");
         full_us.push(t.elapsed().as_micros() as u64);
     }
     full_us.sort_unstable();
@@ -517,12 +521,12 @@ fn main() {
     if cfg!(feature = "bench") {
         use fractalcloud::pointcloud::count_alloc::allocation_count;
         for _ in 0..2 {
-            client.process(stream_cloud, &cfg).expect("wire warmup");
+            client.process(stream_cloud, &cfg, &FrameOptions::default()).expect("wire warmup");
         }
         let n = 8u64;
         let before = allocation_count();
         for _ in 0..n {
-            client.process(stream_cloud, &cfg).expect("wire warm frame");
+            client.process(stream_cloud, &cfg, &FrameOptions::default()).expect("wire warm frame");
         }
         let wire_allocs = (allocation_count() - before) / n;
         println!("\nphase 6 — progressive LOD streaming ({stream_frames} streams, first paint {first_paint} samples)");
@@ -644,9 +648,9 @@ fn main() {
     let engine = Arc::new(Engine::start(ServeConfig::from_env().workers(1)));
     let mut server = TcpServer::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind localhost");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect drain client");
-    client.process(&clouds[0], &cfg).expect("pre-drain frame");
+    client.process(&clouds[0], &cfg, &FrameOptions::default()).expect("pre-drain frame");
     engine.drain();
-    match client.process(&clouds[0], &cfg) {
+    match client.process(&clouds[0], &cfg, &FrameOptions::default()) {
         Err(ClientError::Server { code, .. })
             if code == fractalcloud::serve::protocol::status::GOAWAY => {}
         other => panic!("a draining server must answer GOAWAY, got {other:?}"),
@@ -661,7 +665,7 @@ fn main() {
     };
     let mut policy = RetryPolicy::new(8, 0x10AD).base_delay(Duration::from_millis(25));
     client
-        .process_retry(&clouds[0], &cfg, Priority::Normal, 0, &mut policy)
+        .process_retry(&clouds[0], &cfg, &FrameOptions::default(), &mut policy)
         .expect("the retry loop must outlast the drain window");
     resumer.join().expect("resume thread");
     engine.record_retries(client.retries());
